@@ -563,6 +563,20 @@ fn link_counters_line(links: &snapstab_runtime::LinkStats) -> String {
 
 /// The chaos summary and recovery quantiles of a run's
 /// [`ChaosReport`](snapstab_runtime::ChaosReport).
+/// The mux pool's scheduling counters: how many deliveries a quantum
+/// batches and how many `Condvar` notifies (futex syscalls) a served
+/// request cost.
+fn mux_scheduling_line(stats: &snapstab_runtime::LiveStats, served: u64) -> String {
+    format!(
+        "mux scheduling: {} quanta, {:.2} deliveries per quantum; {} wake-up \
+         syscall(s), {:.2} per served request\n",
+        stats.quanta,
+        stats.deliveries as f64 / stats.quanta.max(1) as f64,
+        stats.wakeups,
+        stats.wakeups as f64 / served.max(1) as f64,
+    )
+}
+
 fn chaos_summary(mix: snapstab_runtime::ChaosMix, c: &snapstab_runtime::ChaosReport) -> String {
     let mut out = format!(
         "chaos ({} profile): {} burst(s) — {} corruption(s), {} crash(es), \
@@ -755,6 +769,9 @@ pub fn cmd_live(args: &Args) -> (String, i32) {
         report.msgs_per_sec(),
     ));
     out.push_str(&link_counters_line(&report.stats.links));
+    if mux {
+        out.push_str(&mux_scheduling_line(&report.stats, report.served));
+    }
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -996,6 +1013,9 @@ fn cmd_live_monitored_mutex(
     }
     alert_lines(&mut out, &report.monitor.alerts);
     out.push_str(&link_counters_line(&report.stats.links));
+    if mux_workers.is_some() {
+        out.push_str(&mux_scheduling_line(&report.stats, report.served));
+    }
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -1189,6 +1209,9 @@ fn cmd_live_monitored_forward(
     }
     alert_lines(&mut out, &report.monitor.alerts);
     out.push_str(&link_counters_line(&report.stats.links));
+    if mux_workers.is_some() {
+        out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
+    }
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -1500,6 +1523,9 @@ fn cmd_live_forward(args: &Args) -> (String, i32) {
         report.spurious,
     ));
     out.push_str(&link_counters_line(&report.stats.links));
+    if mux {
+        out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
+    }
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));

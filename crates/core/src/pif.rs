@@ -25,7 +25,7 @@
 //! acknowledgment (used in the proof of Lemma 5). Standalone use goes
 //! through [`PifProcess`].
 
-use snapstab_sim::{ArbitraryState, Context, PerNeighbor, ProcessId, Protocol, SimRng};
+use snapstab_sim::{neighbors, ArbitraryState, Context, PerNeighbor, ProcessId, Protocol, SimRng};
 
 use crate::flag::{Flag, FlagDomain};
 use crate::request::RequestState;
@@ -270,15 +270,11 @@ where
             self.request = RequestState::Done;
             ctx.emit(PifEvent::Decided.into());
         } else {
-            let targets: Vec<ProcessId> = self
-                .state
-                .iter()
-                .filter(|(_, s)| !s.is_complete(domain))
-                .map(|(q, _)| q)
-                .collect();
-            for q in targets {
-                let msg = self.wave_message(q);
-                ctx.send(q, msg);
+            // Increasing id order, the order of `PerNeighbor::iter`.
+            for q in neighbors(self.me, self.n) {
+                if !self.state.get(q).is_complete(domain) {
+                    ctx.send(q, self.wave_message(q));
+                }
             }
         }
         true

@@ -12,9 +12,12 @@
 //! The queue lives behind a [`Mutex`]; the receiving worker parks when it
 //! has nothing to do and the link unparks it on every successful enqueue,
 //! so delivery latency is bounded by a thread wake-up, not a poll
-//! interval.
+//! interval. An atomic mirror of the queue length lets the two outcomes
+//! that change nothing — polling an empty link, offering to a full one —
+//! skip the mutex (see [`LiveLink`]).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -89,6 +92,38 @@ struct LinkInner<M> {
 /// assert_eq!(link.try_recv(), None);
 /// assert_eq!(link.stats().lost_full, 1);
 /// ```
+///
+/// # The occupancy mirror
+///
+/// `occupancy` mirrors `queue.len()`. It is stored with `Release` while
+/// the queue mutex is held (on every push and pop), so each value it
+/// ever holds was the true length at the moment of the store, and it is
+/// loaded with `Acquire` *without* the mutex by the two paths that would
+/// otherwise lock only to find nothing to do:
+///
+/// * [`LiveLink::try_recv`] returns `None` when the mirror reads 0.
+/// * [`LiveLink::send`] on a single-lane link with `loss == 0.0` returns
+///   [`SendFate::LostFull`] when the mirror reads `>= capacity`, counting
+///   the drop in an atomic that [`LiveLink::stats`] folds into `sends`
+///   and `lost_full`. A link with `loss > 0.0` or several lanes always
+///   takes the mutex, so the per-link seeded RNG draws exactly as before
+///   (the loss draw precedes the capacity check) and lanes are judged by
+///   their own occupancy.
+///
+/// Both unlocked outcomes linearise. A load can only be *stale* — return
+/// a length an already finished push or pop has replaced — when nothing
+/// orders that push or pop before the load; otherwise the `Release` store
+/// is visible to the `Acquire` load through that ordering.
+///
+/// * A stale "full" is therefore a send ordered immediately **before**
+///   the concurrent pop: the queue really was full then, and §4 drops it.
+/// * A stale "empty" is a poll ordered immediately **before** the
+///   concurrent push. The poller is not stranded, because every sender
+///   follows an `Enqueued` send with a wake-up of the receiver that
+///   synchronises with it: this link unparks the registered receiver
+///   thread (`unpark` → `park` synchronise), and the mux backend pushes
+///   the receiver onto its ready queue (`MuxShared::enqueue`). The poll
+///   that follows the wake-up sees the message.
 pub struct LiveLink<M> {
     from: ProcessId,
     to: ProcessId,
@@ -99,6 +134,10 @@ pub struct LiveLink<M> {
     /// Maps a message to its lane; `None` = everything in lane 0.
     lane_of: Option<LaneOf<M>>,
     lanes: usize,
+    /// `queue.len()`, written under the `inner` lock — see the type docs.
+    occupancy: AtomicUsize,
+    /// Drops taken on the unlocked full path; a statistic, so `Relaxed`.
+    unlocked_lost_full: AtomicU64,
     inner: Mutex<LinkInner<M>>,
 }
 
@@ -171,6 +210,8 @@ impl<M> LiveLink<M> {
             jitter,
             lane_of,
             lanes,
+            occupancy: AtomicUsize::new(0),
+            unlocked_lost_full: AtomicU64::new(0),
             inner: Mutex::new(LinkInner {
                 queue: VecDeque::with_capacity((capacity * lanes).min(64)),
                 lane_len: vec![0; lanes],
@@ -200,8 +241,16 @@ impl<M> LiveLink<M> {
     /// Offers a message: the loss model may destroy it in transit, a full
     /// queue silently drops it (§4), otherwise it is enqueued (with a
     /// jittered ready instant when configured) and the receiver is
-    /// unparked. Never blocks beyond the queue mutex.
+    /// unparked. Never blocks beyond the queue mutex, and a lossless
+    /// single-lane link that is full does not take it at all.
     pub fn send(&self, msg: M) -> SendFate {
+        if self.lanes == 1
+            && self.loss == 0.0
+            && self.occupancy.load(Ordering::Acquire) >= self.capacity
+        {
+            self.unlocked_lost_full.fetch_add(1, Ordering::Relaxed);
+            return SendFate::LostFull;
+        }
         let lane = self
             .lane_of
             .as_ref()
@@ -225,6 +274,7 @@ impl<M> LiveLink<M> {
                 Instant::now() + Duration::from_nanos(inner.rng.gen_range(0..span) as u64)
             });
             inner.queue.push_back((msg, ready, lane));
+            self.occupancy.store(inner.queue.len(), Ordering::Release);
             inner.lane_len[lane] += 1;
             inner.stats.enqueued += 1;
             wake = inner.receiver.clone();
@@ -237,14 +287,18 @@ impl<M> LiveLink<M> {
     }
 
     /// Removes and returns the head message if one is present and its
-    /// jittered ready instant has passed.
+    /// jittered ready instant has passed. An empty link costs one load.
     pub fn try_recv(&self) -> Option<M> {
+        if self.occupancy.load(Ordering::Acquire) == 0 {
+            return None;
+        }
         let mut inner = self.inner.lock().expect("link poisoned");
         match inner.queue.front() {
             None => None,
             Some((_, Some(ready), _)) if Instant::now() < *ready => None,
             Some(_) => {
                 let (m, _, lane) = inner.queue.pop_front().expect("front checked");
+                self.occupancy.store(inner.queue.len(), Ordering::Release);
                 inner.lane_len[lane] -= 1;
                 inner.stats.delivered += 1;
                 Some(m)
@@ -264,7 +318,11 @@ impl<M> LiveLink<M> {
 
     /// A copy of the cumulative counters.
     pub fn stats(&self) -> LinkStats {
-        self.inner.lock().expect("link poisoned").stats
+        let mut stats = self.inner.lock().expect("link poisoned").stats;
+        let unlocked = self.unlocked_lost_full.load(Ordering::Relaxed);
+        stats.sends += unlocked;
+        stats.lost_full += unlocked;
+        stats
     }
 }
 
@@ -388,6 +446,67 @@ mod tests {
         assert_eq!(link.send(99), SendFate::Enqueued, "clamped to lane 1");
         assert_eq!(link.send(1), SendFate::LostFull, "lane 1 occupied");
         assert_eq!(link.try_recv(), Some(99));
+    }
+
+    /// A sender thread offers `0..SENDS` while a receiver thread drains,
+    /// both released by one barrier, so the unlocked empty and full
+    /// outcomes race the locked push and pop. Checks the counter
+    /// identities, FIFO order and the capacity bound; returns the
+    /// counters for case-specific pins.
+    fn hammer(link: &LiveLink<u32>) -> LinkStats {
+        const SENDS: u32 = 20_000;
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut received = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for i in 0..SENDS {
+                    let _ = link.send(i);
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            loop {
+                // Read before draining: a send cannot follow a `true`.
+                let finished = done.load(Ordering::Acquire);
+                assert!(link.len() <= link.capacity, "occupancy above capacity");
+                while let Some(m) = link.try_recv() {
+                    received.push(m);
+                }
+                if finished {
+                    break;
+                }
+            }
+        });
+        let s = link.stats();
+        assert_eq!(s.sends, u64::from(SENDS));
+        assert_eq!(s.sends, s.enqueued + s.lost_full + s.lost_in_transit);
+        assert_eq!(s.delivered + link.len() as u64, s.enqueued);
+        assert_eq!(received.len() as u64, s.delivered);
+        assert!(received.windows(2).all(|w| w[0] < w[1]), "FIFO order");
+        s
+    }
+
+    #[test]
+    fn concurrent_accounting_holds_on_the_unlocked_paths() {
+        for capacity in [1, 3] {
+            let link: LiveLink<u32> = LiveLink::new(p(0), p(1), capacity, 0.0, None, 1);
+            let s = hammer(&link);
+            assert_eq!(s.lost_in_transit, 0);
+        }
+    }
+
+    #[test]
+    fn lossy_link_draws_once_per_send_even_when_full() {
+        // The loss draw precedes the capacity check, so the number of
+        // in-transit losses among 20 000 sends is a function of the seed
+        // alone, whatever the interleaving: the value below is what the
+        // always-locked link produced. A full lossy link that returned
+        // `LostFull` without drawing would come out lower.
+        let link: LiveLink<u32> = LiveLink::new(p(0), p(1), 1, 0.3, None, 1);
+        let s = hammer(&link);
+        assert_eq!(s.lost_in_transit, 6_102);
     }
 
     #[test]

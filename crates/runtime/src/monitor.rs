@@ -1596,16 +1596,19 @@ mod tests {
 
     #[test]
     fn monitored_forwarding_delivers_and_cuts_pass_spec5() {
+        // Enough payloads that serving spans several monitor intervals:
+        // the run stops once all are delivered, and a two-payload run
+        // could end before its first cut wave decided.
         let cfg = ForwardingServiceConfig {
             n: 3,
-            payloads_per_process: 2,
+            payloads_per_process: 40,
             buffer_cap: 4,
             prefill_stale: false,
             live: LiveConfig::default(),
             time_budget: Duration::from_secs(45),
         };
         let report = run_monitored_forwarding_service(&cfg, &fast_monitor());
-        assert_eq!(report.delivered, 6);
+        assert_eq!(report.delivered, 120);
         assert!(!report.monitor.cuts.is_empty());
         let trace = report.trace.as_ref().expect("recording on");
         let spec = analyze_snapshot_trace(trace, cfg.n, &[]);

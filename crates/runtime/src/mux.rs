@@ -14,7 +14,8 @@
 //!   sends into a link, the *receiver* instance is pushed onto a shared
 //!   ready queue (deduplicated by a per-instance flag) — the same
 //!   incremental live-link trick as the simulator's `SystemView`. Pool
-//!   workers steal ready instances and step them.
+//!   workers steal ready instances and step them. A push wakes a worker
+//!   only when one is asleep (see "Wake-up protocol" below).
 //! * **Periodic sweep.** Message loss, delivery jitter, driver hooks and
 //!   socket transports (whose demultiplexer cannot see the ready queue)
 //!   all need time-driven re-examination; an idle pool re-enqueues every
@@ -37,6 +38,33 @@
 //! the pool cannot deadlock, and a harness closure
 //! ([`MuxRunner::with_process_ctx`]) simply takes the lock — no command
 //! channels, no 30-second timeouts.
+//!
+//! # Wake-up protocol
+//!
+//! A message is never stranded in a link, although most pushes onto the
+//! ready queue issue no `Condvar` notify and most link polls take no
+//! lock:
+//!
+//! * **Who may skip the notify.** `ReadyState::sleepers` counts the
+//!   workers inside `Condvar::wait_timeout`; it is incremented before the
+//!   wait and decremented after it, both under the `ready` mutex. A push
+//!   reads it under the same mutex. `sleepers == 0` therefore means every
+//!   worker is running and will look at the queue, under the mutex, before
+//!   it can sleep — it will find the push — so the futex syscall is
+//!   skipped. `sleepers > 0` notifies exactly as before.
+//! * **Every `Enqueued` send is followed by `enqueue(to)`.** A send the
+//!   transport destroyed (`LostFull`, `LostInTransit`) put nothing in a
+//!   link, so its receiver is not woken.
+//! * **A stale "empty" poll is harmless.** [`crate::LiveLink`] polls an
+//!   atomic mirror of its queue length without the link lock. If the
+//!   receiver misses a concurrent push, the sender's `enqueue(to)` that
+//!   follows either pushes the receiver (its `queued` flag was already
+//!   cleared; the ready mutex then orders the link push before the
+//!   receiver's next poll) or finds `queued` still set — then the
+//!   receiver's `queued.swap(false, AcqRel)` in `next_ready` comes later
+//!   in the flag's modification order, reads from the sender's
+//!   `swap(true, AcqRel)` (or an RMW after it in the same release
+//!   sequence), and so acquires the link push before it polls.
 //!
 //! ```
 //! use snapstab_core::idl::IdlProcess;
@@ -66,7 +94,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use snapstab_sim::{Context, ProcessId, Protocol, SimRng, Trace, TraceEvent};
+use snapstab_sim::{Context, ProcessId, Protocol, SendFate, SimRng, Trace, TraceEvent};
 
 use crate::runner::{
     Driver, LinkSample, LiveConfig, LiveReport, LiveStats, RuntimeBackend, Scribe, TraceDetail,
@@ -121,6 +149,12 @@ struct MuxShared<P: Protocol> {
 struct ReadyState {
     queue: VecDeque<usize>,
     last_sweep: Instant,
+    /// Workers currently inside `Condvar::wait_timeout`. Only ever
+    /// changed under the `ready` mutex, so a push that reads 0 knows no
+    /// worker can miss it — see the module docs' wake-up protocol.
+    sleepers: usize,
+    /// `Condvar` notifies issued by pushes (one futex syscall each).
+    wakeups: u64,
 }
 
 impl<P> MuxShared<P>
@@ -134,7 +168,7 @@ where
     }
 
     /// Pushes instance `i` onto the ready queue unless it is already
-    /// there or crashed, waking one pool worker.
+    /// there or crashed, waking one pool worker if any is asleep.
     fn enqueue(&self, i: usize) {
         let slot = &self.slots[i];
         if slot.crashed.load(Ordering::Acquire) {
@@ -143,12 +177,14 @@ where
         if slot.queued.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.ready
-            .lock()
-            .expect("ready queue poisoned")
-            .queue
-            .push_back(i);
-        self.available.notify_one();
+        let mut st = self.ready.lock().expect("ready queue poisoned");
+        st.queue.push_back(i);
+        let wake = st.sleepers > 0;
+        st.wakeups += u64::from(wake);
+        drop(st);
+        if wake {
+            self.available.notify_one();
+        }
     }
 
     /// Blocks until an instance is ready (or the pool is stopping).
@@ -163,7 +199,9 @@ where
                 return None;
             }
             if let Some(i) = st.queue.pop_front() {
-                self.slots[i].queued.store(false, Ordering::Release);
+                // An RMW, not a store: it reads from the last
+                // `enqueue(i)`, acquiring the link push that preceded it.
+                self.slots[i].queued.swap(false, Ordering::AcqRel);
                 return Some(i);
             }
             let since = st.last_sweep.elapsed();
@@ -178,25 +216,28 @@ where
                 }
                 continue;
             }
+            st.sleepers += 1;
             let (guard, _) = self
                 .available
                 .wait_timeout(st, self.sweep_period - since)
                 .expect("ready queue poisoned");
             st = guard;
+            st.sleepers -= 1;
         }
     }
 
     /// Commits the context-buffered sends and events of the atomic
     /// action stamped `step` — identical bookkeeping to the thread
     /// backend's `Worker::commit`, plus the ready-queue fast path: each
-    /// receiver of an enqueued message becomes ready immediately.
+    /// receiver of an enqueued message becomes ready immediately. A send
+    /// the transport destroyed entered no link and wakes nobody.
     fn commit(&self, i: usize, core: &mut InstanceCore<P>, step: u64) {
         let me = ProcessId::new(i);
         for (to, msg) in core.send_buf.drain(..) {
             let link = self.links[i * self.n + to.index()]
                 .as_ref()
                 .expect("protocol sent to itself or out of range");
-            if self.record && self.detail == TraceDetail::Full {
+            let fate = if self.record && self.detail == TraceDetail::Full {
                 let fate = link.send(msg.clone());
                 core.log.push(
                     step,
@@ -207,12 +248,15 @@ where
                         fate,
                     },
                 );
+                fate
             } else {
-                link.send(msg);
+                link.send(msg)
+            };
+            // Harmless when the transport delayed the message: the
+            // receiver steps, finds nothing, and goes quiet again.
+            if fate == SendFate::Enqueued {
+                self.enqueue(to.index());
             }
-            // Harmless when the transport lost or delayed the message:
-            // the receiver steps, finds nothing, and goes quiet again.
-            self.enqueue(to.index());
         }
         for event in core.event_buf.drain(..) {
             core.stats.protocol_events += 1;
@@ -239,8 +283,9 @@ where
         }
         let core = &mut *guard;
         let me = ProcessId::new(i);
+        core.stats.quanta += 1;
 
-        let mut received = 0usize;
+        let mut received = 0u64;
         let in_count = self.n - 1;
         for off in 0..in_count {
             let from = incoming_origin(i, (core.rotate + off) % in_count);
@@ -249,8 +294,6 @@ where
                 .expect("off-diagonal");
             while let Some(msg) = link.try_recv() {
                 let step = self.next_step();
-                core.stats.deliveries += 1;
-                slot.activity.fetch_add(1, Ordering::Relaxed);
                 if self.record && self.detail == TraceDetail::Full {
                     core.log.push(
                         step,
@@ -276,6 +319,10 @@ where
             }
         }
         core.rotate = core.rotate.wrapping_add(1);
+        core.stats.deliveries += received;
+        // One read-modify-write per quantum: the supervisor only compares
+        // the counter for progress.
+        let mut active = received;
 
         let mut drove = false;
         if let Some(mut driver) = core.driver.take() {
@@ -298,12 +345,15 @@ where
             let acted = core.protocol.activate(&mut ctx);
             if acted {
                 core.stats.effective_activations += 1;
-                slot.activity.fetch_add(1, Ordering::Relaxed);
+                active += 1;
             }
             if self.record {
                 core.log.push(step, TraceEvent::Activated { p: me, acted });
             }
             self.commit(i, core, step);
+        }
+        if active > 0 {
+            slot.activity.fetch_add(active, Ordering::Relaxed);
         }
 
         drop(guard);
@@ -447,6 +497,8 @@ where
             ready: Mutex::new(ReadyState {
                 queue: (0..n).collect(),
                 last_sweep: Instant::now(),
+                sleepers: 0,
+                wakeups: 0,
             }),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -606,6 +658,11 @@ where
         };
         let mut stats = LiveStats {
             steps: shared.counter.load(Ordering::Relaxed),
+            wakeups: shared
+                .ready
+                .into_inner()
+                .expect("ready queue poisoned")
+                .wakeups,
             ..LiveStats::default()
         };
         for link in shared.links.iter().flatten() {
@@ -619,6 +676,7 @@ where
             stats.effective_activations += core.stats.effective_activations;
             stats.deliveries += core.stats.deliveries;
             stats.protocol_events += core.stats.protocol_events;
+            stats.quanta += core.stats.quanta;
             processes.push(core.protocol);
             logs.push(core.log);
         }
@@ -636,7 +694,6 @@ mod tests {
     use super::*;
     use snapstab_core::idl::IdlProcess;
     use snapstab_core::request::RequestState;
-    use snapstab_sim::SendFate;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -797,6 +854,56 @@ mod tests {
         ));
         let report = r.stop();
         assert_eq!(report.processes[0].idl().min_id(), 10);
+    }
+
+    /// Polls the ready queue until every pool worker is inside
+    /// `wait_timeout` with nothing queued — the pool is asleep and only a
+    /// notify (or the sweep deadline) can move it.
+    fn wait_asleep(r: &MuxRunner<IdlProcess>, within: Duration) -> bool {
+        let deadline = Instant::now() + within;
+        loop {
+            {
+                let st = r.shared.ready.lock().expect("ready queue poisoned");
+                if st.sleepers == r.workers && st.queue.is_empty() {
+                    return true;
+                }
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A push that finds a sleeper must notify it: with the sweep 5 s
+    /// away, a wave requested on a sleeping pool has to run to completion
+    /// — and the pool fall asleep again with an empty queue — on wake-ups
+    /// alone. A skipped notify leaves the request queued under sleeping
+    /// workers and trips the 1 s bound.
+    #[test]
+    fn mux_sleeping_pool_is_woken_without_the_sweep() {
+        for workers in [2, 1] {
+            let cfg = LiveConfig {
+                max_backoff: Duration::from_secs(5),
+                ..LiveConfig::default()
+            };
+            let mut r = MuxRunner::spawn(idl_fleet(8), cfg, workers);
+            assert!(
+                wait_asleep(&r, Duration::from_secs(2)),
+                "an idle pool must fall asleep ({workers} worker(s))"
+            );
+            let before = r.step_count();
+            r.with_process(p(0), |m: &mut IdlProcess| m.request_learning());
+            assert!(
+                wait_asleep(&r, Duration::from_secs(1)),
+                "the wave must drain on wake-ups alone ({workers} worker(s))"
+            );
+            assert!(r.step_count() > before);
+            let report = r.stop();
+            assert_eq!(report.processes[0].request(), RequestState::Done);
+            assert!(report.stats.wakeups >= 1, "the request's push notified");
+            assert!(report.stats.quanta >= report.stats.activations);
+        }
     }
 
     #[test]

@@ -175,6 +175,11 @@ pub struct WorkerStats {
     pub deliveries: u64,
     /// Protocol events emitted.
     pub protocol_events: u64,
+    /// Scheduling quanta executed: one drain / driver / activation pass
+    /// (a `step_instance` call on the mux backend, a worker-loop
+    /// iteration on the thread backend). `deliveries / quanta` is the
+    /// batching a quantum achieves.
+    pub quanta: u64,
 }
 
 /// What a stopped worker hands back.
@@ -200,6 +205,12 @@ pub struct LiveStats {
     pub protocol_events: u64,
     /// Sum of the links' counters.
     pub links: LinkStats,
+    /// Sum of the workers' scheduling quanta (see [`WorkerStats::quanta`]).
+    pub quanta: u64,
+    /// `Condvar` notifies the mux ready queue actually issued — one futex
+    /// syscall each. Always 0 on the thread backend, whose links unpark
+    /// their receiver directly.
+    pub wakeups: u64,
 }
 
 /// A point-in-time observation of one directed link, taken by
@@ -332,6 +343,7 @@ where
 
             // Drain every deliverable message; each is one atomic receive
             // action. Rotate the starting link so no sender is favoured.
+            self.stats.quanta += 1;
             let mut received = 0usize;
             let in_count = self.incoming.len();
             for off in 0..in_count {
@@ -869,6 +881,7 @@ where
             stats.effective_activations += r.stats.effective_activations;
             stats.deliveries += r.stats.deliveries;
             stats.protocol_events += r.stats.protocol_events;
+            stats.quanta += r.stats.quanta;
         }
         for link in self.links.iter().flatten() {
             stats.links.absorb(link.stats());

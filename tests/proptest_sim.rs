@@ -3,10 +3,12 @@
 
 use proptest::prelude::*;
 use snapstab_repro::core::idl::IdlProcess;
+use snapstab_repro::core::me::MeProcess;
+use snapstab_repro::core::pif::{PifApp, PifProcess};
 use snapstab_repro::core::request::RequestState;
 use snapstab_repro::sim::{
     Capacity, Channel, CorruptionPlan, LossModel, Network, NetworkBuilder, ProcessId, Protocol,
-    RandomScheduler, RoundRobin, Runner, SimRng, SystemView, TraceEvent,
+    RandomScheduler, RoundRobin, Runner, Scheduler, SimRng, SystemView, TraceEvent,
 };
 
 fn p(i: usize) -> ProcessId {
@@ -322,4 +324,70 @@ proptest! {
             );
         }
     }
+}
+
+/// `PifApp` that answers every broadcast with the receiver's own tag.
+#[derive(Clone, Debug)]
+struct Tag(u32);
+
+impl PifApp<u32, u32> for Tag {
+    fn on_broadcast(&mut self, _from: ProcessId, _data: &u32) -> u32 {
+        self.0
+    }
+    fn on_feedback(&mut self, _from: ProcessId, _data: &u32) {}
+}
+
+/// `(steps, messages enqueued, trace length)` of a finished run.
+fn fingerprint<P: Protocol, S: Scheduler>(runner: &Runner<P, S>) -> (u64, u64, usize) {
+    let stats = runner.stats();
+    (
+        stats.steps,
+        stats.sends_enqueued,
+        runner.trace().entries().len(),
+    )
+}
+
+/// Action A2 retransmits to the incomplete neighbours in increasing id
+/// order. The probabilistic loss model draws once per send, in send
+/// order, so any other order loses different messages and the seeded
+/// executions below diverge from the counts pinned at the commit before
+/// A2 stopped collecting its targets into a `Vec`.
+#[test]
+fn a2_send_order_is_pinned_for_me_under_random_scheduler() {
+    let n = 4;
+    let processes: Vec<MeProcess> = (0..n)
+        .map(|i| MeProcess::new(p(i), n, 10 + i as u64))
+        .collect();
+    let network = NetworkBuilder::new(n)
+        .capacity(Capacity::Bounded(1))
+        .build();
+    let mut runner = Runner::new(processes, network, RandomScheduler::new(), 20080818);
+    runner.set_loss(LossModel::probabilistic(0.2));
+    for i in 0..n {
+        assert!(runner.process_mut(p(i)).request_cs());
+    }
+    runner.run_steps(20_000).expect("run");
+    assert_eq!(fingerprint(&runner), (20_000, 11_608, 51_748));
+}
+
+#[test]
+fn a2_send_order_is_pinned_for_pif_from_full_corruption() {
+    let n = 3;
+    let processes: Vec<PifProcess<u32, u32, Tag>> = (0..n)
+        .map(|i| PifProcess::with_initial_f(p(i), n, 0, 0, Tag(100 + i as u32)))
+        .collect();
+    let network = NetworkBuilder::new(n)
+        .capacity(Capacity::Bounded(1))
+        .build();
+    let mut runner = Runner::new(processes, network, RandomScheduler::new(), 131);
+    runner.set_loss(LossModel::probabilistic(0.2));
+    let mut rng = SimRng::seed_from(131 ^ 1);
+    CorruptionPlan::full().apply(&mut runner, &mut rng);
+    for wave in 0..10 {
+        runner.process_mut(p(0)).core_mut().force_request(wave);
+        runner
+            .run_until(100_000, |r| r.process(p(0)).request() == RequestState::Done)
+            .expect("wave decides");
+    }
+    assert_eq!(fingerprint(&runner), (485, 266, 1085));
 }
