@@ -601,14 +601,54 @@ fn chaos_summary(mix: snapstab_runtime::ChaosMix, c: &snapstab_runtime::ChaosRep
     out
 }
 
+/// The `--transport` backend of a `live` run. An enum rather than a boxed
+/// [`Transport`](snapstab_runtime::Transport), because the report reads
+/// the UDP backend's frame counters after the run.
+enum Backend {
+    InMem(snapstab_runtime::InMemory),
+    Udp(snapstab_net::UdpLoopback),
+}
+
+impl Backend {
+    fn transport<M: snapstab_net::Wire + Send + 'static>(
+        &self,
+    ) -> &dyn snapstab_runtime::Transport<M> {
+        match self {
+            Backend::InMem(t) => t,
+            Backend::Udp(t) => t,
+        }
+    }
+
+    /// The UDP transport's frame counters — how many records shared a
+    /// `send_to`, and every way a frame or record was lost outside the
+    /// link counters. Empty for the in-memory transport.
+    fn framing_line(&self) -> String {
+        let Backend::Udp(udp) = self else {
+            return String::new();
+        };
+        let f = udp.frame_stats();
+        format!(
+            "udp framing: {} frame(s) sent carrying {} record(s), {:.2} records per \
+             frame, largest {} bytes; {} received; errors: {} refused frame(s), \
+             {} rejected record(s), {} foreign frame(s)\n",
+            f.frames_sent,
+            f.records_sent,
+            f.records_sent as f64 / f.frames_sent.max(1) as f64,
+            f.max_frame_bytes,
+            f.frames_received,
+            f.send_errors,
+            f.records_rejected,
+            f.frames_foreign,
+        )
+    }
+}
+
 /// Resolves `--transport` to a backend object, or an exit-2 usage error
 /// (matching the unknown-subcommand convention).
-fn parse_transport<M: snapstab_net::Wire + Send + 'static>(
-    name: &str,
-) -> Result<Box<dyn snapstab_runtime::Transport<M>>, (String, i32)> {
+fn parse_transport(name: &str) -> Result<Backend, (String, i32)> {
     match name {
-        "inmem" => Ok(Box::new(snapstab_runtime::InMemory)),
-        "udp" => Ok(Box::new(snapstab_net::UdpLoopback::new())),
+        "inmem" => Ok(Backend::InMem(snapstab_runtime::InMemory)),
+        "udp" => Ok(Backend::Udp(snapstab_net::UdpLoopback::new())),
         other => Err((
             format!(
                 "unknown --transport `{other}`: valid values are {}\n\n{USAGE}",
@@ -696,7 +736,7 @@ pub fn cmd_live(args: &Args) -> (String, i32) {
         let mux_workers = mux.then_some(workers);
         return cmd_live_monitored_mutex(args, &mon, chaos, mux_workers, metrics_out);
     }
-    let backend = match parse_transport::<snapstab_core::me::MeMsg>(&transport) {
+    let backend = match parse_transport(&transport) {
         Ok(b) => b,
         Err(err) => return err,
     };
@@ -728,7 +768,7 @@ pub fn cmd_live(args: &Args) -> (String, i32) {
     let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
     let (report, chaos_report) = match (&plan, mux) {
         (Some(p), false) => {
-            match snapstab_runtime::run_mutex_service_chaos_on(&cfg, backend.as_ref(), p) {
+            match snapstab_runtime::run_mutex_service_chaos_on(&cfg, backend.transport(), p) {
                 Ok((report, c)) => (report, Some(c)),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
@@ -737,19 +777,19 @@ pub fn cmd_live(args: &Args) -> (String, i32) {
             match snapstab_runtime::run_mutex_service_chaos_mux_on(
                 &cfg,
                 workers,
-                backend.as_ref(),
+                backend.transport(),
                 p,
             ) {
                 Ok((report, c)) => (report, Some(c)),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
         }
-        (None, false) => match snapstab_runtime::run_mutex_service_on(&cfg, backend.as_ref()) {
+        (None, false) => match snapstab_runtime::run_mutex_service_on(&cfg, backend.transport()) {
             Ok(report) => (report, None),
             Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
         },
         (None, true) => {
-            match snapstab_runtime::run_mutex_service_mux_on(&cfg, workers, backend.as_ref()) {
+            match snapstab_runtime::run_mutex_service_mux_on(&cfg, workers, backend.transport()) {
                 Ok(report) => (report, None),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
@@ -772,6 +812,7 @@ pub fn cmd_live(args: &Args) -> (String, i32) {
     if mux {
         out.push_str(&mux_scheduling_line(&report.stats, report.served));
     }
+    out.push_str(&backend.framing_line());
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -910,7 +951,7 @@ fn cmd_live_monitored_mutex(
     metrics_out: Option<MetricsOut>,
 ) -> (String, i32) {
     use snapstab_core::spec::analyze_snapshot_trace;
-    use snapstab_runtime::{LiveConfig, MonitoredMsg, MutexServiceConfig};
+    use snapstab_runtime::{LiveConfig, MutexServiceConfig};
     let LiveFlags {
         n,
         seed,
@@ -923,7 +964,7 @@ fn cmd_live_monitored_mutex(
         transport,
         ..
     } = LiveFlags::parse(args);
-    let backend = match parse_transport::<MonitoredMsg<snapstab_core::me::MeMsg>>(&transport) {
+    let backend = match parse_transport(&transport) {
         Ok(b) => b,
         Err(err) => return err,
     };
@@ -971,14 +1012,14 @@ fn cmd_live_monitored_mutex(
             &cfg,
             mon,
             workers,
-            backend.as_ref(),
+            backend.transport(),
             plan.as_ref(),
             Some(&mut on_cut),
         ),
         None => snapstab_runtime::run_monitored_mutex_service_with(
             &cfg,
             mon,
-            backend.as_ref(),
+            backend.transport(),
             plan.as_ref(),
             Some(&mut on_cut),
         ),
@@ -1016,6 +1057,7 @@ fn cmd_live_monitored_mutex(
     if mux_workers.is_some() {
         out.push_str(&mux_scheduling_line(&report.stats, report.served));
     }
+    out.push_str(&backend.framing_line());
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -1092,7 +1134,7 @@ fn cmd_live_monitored_forward(
     metrics_out: Option<MetricsOut>,
 ) -> (String, i32) {
     use snapstab_core::spec::analyze_snapshot_trace;
-    use snapstab_runtime::{ForwardingServiceConfig, LiveConfig, MonitoredMsg};
+    use snapstab_runtime::{ForwardingServiceConfig, LiveConfig};
     let LiveFlags {
         n,
         seed,
@@ -1112,11 +1154,10 @@ fn cmd_live_monitored_forward(
         );
     }
     let stale = args.has("stale");
-    let backend =
-        match parse_transport::<MonitoredMsg<snapstab_core::forward::ForwardMsg>>(&transport) {
-            Ok(b) => b,
-            Err(err) => return err,
-        };
+    let backend = match parse_transport(&transport) {
+        Ok(b) => b,
+        Err(err) => return err,
+    };
     let cfg = ForwardingServiceConfig {
         n,
         payloads_per_process: payloads,
@@ -1166,14 +1207,14 @@ fn cmd_live_monitored_forward(
             &cfg,
             mon,
             workers,
-            backend.as_ref(),
+            backend.transport(),
             plan.as_ref(),
             Some(&mut on_cut),
         ),
         None => snapstab_runtime::run_monitored_forwarding_service_with(
             &cfg,
             mon,
-            backend.as_ref(),
+            backend.transport(),
             plan.as_ref(),
             Some(&mut on_cut),
         ),
@@ -1212,6 +1253,7 @@ fn cmd_live_monitored_forward(
     if mux_workers.is_some() {
         out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
     }
+    out.push_str(&backend.framing_line());
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -1294,7 +1336,7 @@ fn cmd_live_sharded(args: &Args) -> (String, i32) {
         ..
     } = LiveFlags::parse(args);
     let key_space: u64 = args.get_or("key-space", 1 << 16);
-    let backend = match parse_transport::<snapstab_core::shard::ShardedMeMsg>(&transport) {
+    let backend = match parse_transport(&transport) {
         Ok(b) => b,
         Err(err) => return err,
     };
@@ -1332,7 +1374,7 @@ fn cmd_live_sharded(args: &Args) -> (String, i32) {
          transport), {shards} shard(s) (one leader each), batch≤{batch}, \
          loss={loss}, {workload}, budget {budget_secs}s\n"
     );
-    let report = match snapstab_runtime::run_sharded_service_on(&cfg, backend.as_ref()) {
+    let report = match snapstab_runtime::run_sharded_service_on(&cfg, backend.transport()) {
         Ok(report) => report,
         Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
     };
@@ -1349,6 +1391,7 @@ fn cmd_live_sharded(args: &Args) -> (String, i32) {
         report.msgs_per_sec(),
     ));
     out.push_str(&link_counters_line(&report.stats.links));
+    out.push_str(&backend.framing_line());
     for (s, served) in report.per_shard_served.iter().enumerate() {
         out.push_str(&format!("  shard {s}: {served} request(s) served\n"));
     }
@@ -1445,7 +1488,7 @@ fn cmd_live_forward(args: &Args) -> (String, i32) {
         Ok(None) => {}
         Err(err) => return err,
     }
-    let backend = match parse_transport::<snapstab_core::forward::ForwardMsg>(&transport) {
+    let backend = match parse_transport(&transport) {
         Ok(b) => b,
         Err(err) => return err,
     };
@@ -1484,7 +1527,7 @@ fn cmd_live_forward(args: &Args) -> (String, i32) {
     let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
     let (report, chaos_report) = match (&plan, mux) {
         (Some(p), false) => {
-            match snapstab_runtime::run_forwarding_service_chaos_on(&cfg, backend.as_ref(), p) {
+            match snapstab_runtime::run_forwarding_service_chaos_on(&cfg, backend.transport(), p) {
                 Ok((report, c)) => (report, Some(c)),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
@@ -1492,20 +1535,24 @@ fn cmd_live_forward(args: &Args) -> (String, i32) {
         (Some(p), true) => match snapstab_runtime::run_forwarding_service_chaos_mux_on(
             &cfg,
             workers,
-            backend.as_ref(),
+            backend.transport(),
             p,
         ) {
             Ok((report, c)) => (report, Some(c)),
             Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
         },
         (None, false) => {
-            match snapstab_runtime::run_forwarding_service_on(&cfg, backend.as_ref()) {
+            match snapstab_runtime::run_forwarding_service_on(&cfg, backend.transport()) {
                 Ok(report) => (report, None),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
         }
         (None, true) => {
-            match snapstab_runtime::run_forwarding_service_mux_on(&cfg, workers, backend.as_ref()) {
+            match snapstab_runtime::run_forwarding_service_mux_on(
+                &cfg,
+                workers,
+                backend.transport(),
+            ) {
                 Ok(report) => (report, None),
                 Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
             }
@@ -1526,6 +1573,7 @@ fn cmd_live_forward(args: &Args) -> (String, i32) {
     if mux {
         out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
     }
+    out.push_str(&backend.framing_line());
     out.push_str(&per_link_table(&report.link_samples));
     if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
         out.push_str(&chaos_summary(mix, c));
@@ -1966,6 +2014,44 @@ mod tests {
         assert!(out.contains("served 6/6"), "{out}");
         assert!(out.contains("exclusivity holds: true"), "{out}");
         assert_eq!(code, 0, "healthy UDP run exits 0:\n{out}");
+    }
+
+    /// Every report a UDP run can produce carries exactly one
+    /// `udp framing:` line, with at least one record per frame; an
+    /// in-memory run carries none.
+    #[test]
+    fn live_udp_reports_print_one_framing_line() {
+        if !snapstab_net::udp_available() {
+            eprintln!("warning: UDP loopback unavailable in this sandbox; skipping");
+            return;
+        }
+        for flags in [
+            "",
+            "--runtime mux --workers 1",
+            "--shards 2",
+            "--monitor --monitor-interval 5",
+            "--app forward",
+            "--app forward --monitor --monitor-interval 5",
+        ] {
+            let (out, code) = cmd_live(&parse(&format!(
+                "live --n 3 --requests 2 --transport udp --budget-secs 40 {flags}"
+            )));
+            assert_eq!(code, 0, "`{flags}`:\n{out}");
+            let lines: Vec<&str> = out.lines().filter(|l| l.contains("udp framing:")).collect();
+            assert_eq!(lines.len(), 1, "`{flags}`:\n{out}");
+            assert!(
+                !lines[0].contains(" 0 frame(s) sent"),
+                "`{flags}`: {}",
+                lines[0]
+            );
+            assert!(
+                lines[0].contains("errors: 0 refused frame(s)"),
+                "{}",
+                lines[0]
+            );
+        }
+        let (out, _) = cmd_live(&parse("live --n 3 --requests 2"));
+        assert!(!out.contains("udp framing:"), "{out}");
     }
 
     #[test]

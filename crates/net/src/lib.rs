@@ -13,20 +13,25 @@
 //!
 //! Three pieces:
 //!
-//! * [`wire`] — the datagram format: a 16-byte header (link endpoints,
+//! * [`wire`] — the record format: a 16-byte header (link endpoints,
 //!   capacity lane, per-link sequence number) plus a compact
 //!   dependency-free payload codec (the [`Wire`] trait) for every message
-//!   type the protocols exchange;
-//! * [`UdpLink`] — one directed link. The *receive* path enforces what
-//!   UDP does not promise: FIFO/duplication-freedom by dropping
-//!   out-of-sequence datagrams, and the §4 bounded capacity by silently
-//!   dropping on a full lane — plus seeded injected loss and delivery
-//!   jitter for reproducible experiments, with per-link counters
+//!   type the protocols exchange. A datagram — a *frame* — is one or more
+//!   records laid end to end;
+//! * [`UdpLink`] — one directed link. `send` stages a record in the
+//!   frame its topology shares; `pump`, which the runtime's workers call
+//!   once per scheduling quantum, sends the frame and drains the socket.
+//!   The *receive* path enforces, per record, what UDP does not promise:
+//!   FIFO/duplication-freedom by dropping out-of-sequence records, and
+//!   the §4 bounded capacity by silently dropping on a full lane — plus
+//!   seeded injected loss and delivery jitter for reproducible
+//!   experiments, with per-link counters
 //!   ([`LinkStats`](snapstab_runtime::LinkStats): sent / delivered /
-//!   dropped-full / dropped-reorder);
-//! * [`UdpLoopback`] — the harness: binds `n` ephemeral sockets on
-//!   `127.0.0.1`, wires the full topology, and demultiplexes each
-//!   endpoint's datagrams onto its incoming links.
+//!   dropped-full / dropped-reorder) and per-topology frame counters
+//!   ([`FrameStats`]);
+//! * [`UdpLoopback`] — the harness: binds one ephemeral socket on
+//!   `127.0.0.1` per topology and wires the full link matrix onto it. It
+//!   starts no thread.
 //!
 //! ## Running a service over UDP
 //!
@@ -45,7 +50,7 @@
 //!     },
 //!     &UdpLoopback::new(),
 //! )
-//! .expect("bind loopback sockets");
+//! .expect("bind the loopback socket");
 //! assert_eq!(report.served, 6);
 //! // The merged trace passes the same Specification 3 checker as
 //! // simulated and in-memory live runs (see `tests/udp_runtime.rs`).
@@ -62,6 +67,6 @@ pub mod link;
 pub mod loopback;
 pub mod wire;
 
-pub use link::UdpLink;
+pub use link::{FrameStats, UdpLink};
 pub use loopback::{udp_available, UdpLoopback};
 pub use wire::{Wire, WireReader};

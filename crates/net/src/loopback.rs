@@ -1,43 +1,41 @@
-//! [`UdpLoopback`] — the orchestration layer: binds one UDP socket per
-//! process on `127.0.0.1`, wires the full `n × n` [`UdpLink`] topology,
-//! and runs one demultiplexer thread per endpoint that routes incoming
-//! datagrams to their link's delivery queue.
+//! [`UdpLoopback`] — the orchestration layer: binds **one** UDP socket on
+//! `127.0.0.1` per connected topology and wires the full `n × n`
+//! [`UdpLink`] matrix onto the hub that owns it.
 //!
 //! This is the single-host ("loopback") deployment of the transport: all
-//! `n` workers are threads of one OS process, but every message crosses
-//! the kernel's UDP stack — real sockets, real syscalls, real finite
-//! buffers. A multi-host deployment would construct the same links with
-//! remote peer addresses; the `Protocol`-facing surface is identical.
+//! `n` processes live in one OS process and share the socket, but every
+//! message crosses the kernel's UDP stack and the host's loopback
+//! interface — real syscalls, real finite buffers — coalesced with the
+//! rest of its scheduling quantum's output into one frame (see
+//! [`crate::link`]). A multi-host deployment would give each host a hub
+//! with remote peer addresses; the `Protocol`-facing surface is identical.
 
-use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use snapstab_runtime::{LaneOf, Link, LinkMatrix, LiveConfig, Transport};
 use snapstab_sim::ProcessId;
 
-use crate::link::UdpLink;
-use crate::wire::{decode_datagram, Wire};
+use crate::link::{FrameCounters, FrameStats, Hub, UdpLink};
+use crate::wire::Wire;
 
-/// How long a demultiplexer blocks in `recv_from` before re-checking the
-/// shutdown flag.
-const DEMUX_POLL: Duration = Duration::from_millis(20);
-
-/// One endpoint's demultiplexer thread, joined when the transport drops.
-struct Endpoint {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// What [`UdpLoopback`] remembers of its most recent `connect`.
+struct Connected {
+    n: usize,
+    socket: Arc<UdpSocket>,
+    addr: SocketAddr,
+    frames: Arc<FrameCounters>,
 }
 
-/// A UDP transport over `127.0.0.1`: implements
-/// [`Transport`] by binding `n` ephemeral sockets
-/// and spawning one demultiplexer thread per endpoint.
+/// A UDP transport over `127.0.0.1`: implements [`Transport`] by binding
+/// one ephemeral socket per `connect` and handing out links that share
+/// it.
 ///
-/// The object owns the demultiplexer threads of every topology it has
-/// connected: keep it alive for the duration of the run (the services
-/// take it by reference), and drop it to shut the threads down.
+/// The object runs nothing — no thread, no timer: the links share their
+/// hub among themselves and the runtime's workers move the frames. What
+/// the transport keeps is a handle on the most recent topology's socket
+/// and frame counters, for tests that inject raw datagrams and reports
+/// that print [`FrameStats`].
 ///
 /// ```
 /// use snapstab_net::UdpLoopback;
@@ -45,7 +43,8 @@ struct Endpoint {
 /// use std::time::Duration;
 ///
 /// # if !snapstab_net::udp_available() { return; } // skip in socketless sandboxes
-/// // Three workers exchanging Algorithm 3 messages as real datagrams.
+/// // Three workers exchanging Algorithm 3 messages through a real socket.
+/// let transport = UdpLoopback::new();
 /// let report = run_mutex_service_on(
 ///     &MutexServiceConfig {
 ///         n: 3,
@@ -53,44 +52,59 @@ struct Endpoint {
 ///         time_budget: Duration::from_secs(30),
 ///         ..MutexServiceConfig::default()
 ///     },
-///     &UdpLoopback::new(),
+///     &transport,
 /// )
-/// .expect("bind loopback sockets");
+/// .expect("bind the loopback socket");
 /// assert_eq!(report.served, 3);
+/// // Every staged record left in some frame, usually several to a frame.
+/// let frames = transport.frame_stats();
+/// assert!(frames.frames_sent >= 1 && frames.records_sent >= frames.frames_sent);
 /// ```
 #[derive(Default)]
 pub struct UdpLoopback {
-    endpoints: Mutex<Vec<Endpoint>>,
-    /// The socket addresses bound by the most recent `connect`, in
-    /// process order — exposed for tests that inject raw datagrams.
-    last_addrs: Mutex<Vec<std::net::SocketAddr>>,
-    /// The sockets bound by the most recent `connect` (shared with the
-    /// demux threads and links) — exposed for raw-datagram tests.
-    last_sockets: Mutex<Vec<Arc<UdpSocket>>>,
+    last: Mutex<Option<Connected>>,
 }
 
 impl UdpLoopback {
-    /// Creates a transport with no sockets bound yet; each
-    /// [`Transport::connect`] call binds a fresh set.
+    /// Creates a transport with no socket bound yet; each
+    /// [`Transport::connect`] call binds a fresh one.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The socket addresses bound by the most recent
-    /// [`Transport::connect`] call, in process order. Empty before the
-    /// first call.
-    pub fn endpoint_addrs(&self) -> Vec<std::net::SocketAddr> {
-        self.last_addrs.lock().expect("addrs poisoned").clone()
+    fn with_last<R: Default>(&self, f: impl FnOnce(&Connected) -> R) -> R {
+        let last = self.last.lock().expect("last connect poisoned");
+        last.as_ref().map(f).unwrap_or_default()
     }
 
-    /// Endpoint `i`'s bound socket (most recent connect) — the handle
-    /// raw-datagram tests send crafted datagrams *from*, simulating a
-    /// misbehaving network on the links out of process `i`. Demux
-    /// threads only accept datagrams whose source address matches the
-    /// header's claimed sender, so crafted traffic must leave the
-    /// genuine socket.
+    /// The address every process of the most recent [`Transport::connect`]
+    /// receives on, once per process: all `n` entries are the hub's one
+    /// socket. Empty before the first call.
+    pub fn endpoint_addrs(&self) -> Vec<SocketAddr> {
+        self.with_last(|c| vec![c.addr; c.n])
+    }
+
+    /// The socket process `i` of the most recent connect sends from — the
+    /// hub's one socket, whatever `i` — the handle raw-datagram tests
+    /// send crafted frames *from*, playing a misbehaving network. The
+    /// pump drops frames from any other source address unparsed, so
+    /// crafted traffic must leave the genuine socket.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first connect, or if `i` is not a process of it.
     pub fn endpoint_socket(&self, i: usize) -> Arc<UdpSocket> {
-        self.last_sockets.lock().expect("sockets poisoned")[i].clone()
+        let last = self.last.lock().expect("last connect poisoned");
+        let connected = last.as_ref().expect("no topology connected yet");
+        assert!(i < connected.n, "process {i} of {}", connected.n);
+        connected.socket.clone()
+    }
+
+    /// The frame counters of the most recent [`Transport::connect`]'s
+    /// topology, live: frames and records sent, frames received, what was
+    /// rejected and why. All zero before the first call.
+    pub fn frame_stats(&self) -> FrameStats {
+        self.with_last(|c| c.frames.snapshot())
     }
 }
 
@@ -121,108 +135,30 @@ impl<M: Wire + Send + 'static> Transport<M> for UdpLoopback {
             Some((count, f)) => (count, Some(f)),
             None => (1, None),
         };
-        // Bind one socket per process; the OS picks the ports.
-        let mut sockets = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-            socket.set_read_timeout(Some(DEMUX_POLL))?;
-            addrs.push(socket.local_addr()?);
-            sockets.push(Arc::new(socket));
-        }
-        *self.last_addrs.lock().expect("addrs poisoned") = addrs.clone();
-        *self.last_sockets.lock().expect("sockets poisoned") = sockets.clone();
-
-        // The full link matrix, plus per-receiver routing tables for the
-        // demultiplexers (indexed by sender id).
+        let hub = Arc::new(Hub::bind(n, config, lane_count)?);
+        *self.last.lock().expect("last connect poisoned") = Some(Connected {
+            n,
+            socket: hub.socket.clone(),
+            addr: hub.addr,
+            frames: hub.counters.clone(),
+        });
         let mut matrix: LinkMatrix<M> = Vec::with_capacity(n * n);
-        let mut routes: Vec<Vec<Option<Arc<UdpLink<M>>>>> = (0..n).map(|_| vec![None; n]).collect();
         for from in 0..n {
             for to in 0..n {
-                if from == to {
-                    matrix.push(None);
-                    continue;
-                }
-                let link = Arc::new(UdpLink::new(
-                    ProcessId::new(from),
-                    ProcessId::new(to),
-                    sockets[from].clone(),
-                    addrs[to],
-                    config,
-                    lane_count,
-                    lane_of.clone(),
-                ));
-                routes[to][from] = Some(link.clone());
-                matrix.push(Some(link as Arc<dyn Link<M>>));
+                matrix.push((from != to).then(|| {
+                    let link: Arc<dyn Link<M>> = Arc::new(UdpLink::new(
+                        hub.clone(),
+                        ProcessId::new(from),
+                        ProcessId::new(to),
+                        config,
+                        lane_count,
+                        lane_of.clone(),
+                    ));
+                    link
+                }));
             }
-        }
-
-        // One demultiplexer per endpoint: route each datagram to the
-        // sending link's delivery queue, where the §4 semantics are
-        // enforced.
-        let mut endpoints = self.endpoints.lock().expect("endpoints poisoned");
-        for (i, (socket, incoming)) in sockets.into_iter().zip(routes).enumerate() {
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let flag = shutdown.clone();
-            let expected = addrs.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("snapstab-udp-demux-{i}"))
-                .spawn(move || {
-                    let mut buf = [0u8; 2048];
-                    while !flag.load(Ordering::Relaxed) {
-                        let (len, src) = match socket.recv_from(&mut buf) {
-                            Ok(received) => received,
-                            // Timeout (or spurious error): re-check the
-                            // shutdown flag and keep listening.
-                            Err(_) => continue,
-                        };
-                        // Malformed, foreign or misrouted datagrams are
-                        // dropped: a fair-lossy channel may lose anything.
-                        let Some((header, payload)) = decode_datagram(&buf[..len]) else {
-                            continue;
-                        };
-                        if header.to as usize != i {
-                            continue;
-                        }
-                        // The datagram must actually come from the socket
-                        // of the process it claims as sender: otherwise a
-                        // stray datagram from another topology (ephemeral
-                        // port reuse) or a stale test could advance a
-                        // link's FIFO sequence guard arbitrarily — e.g.
-                        // seq = u64::MAX would deafen the link forever,
-                        // turning its loss probability into 1 and
-                        // violating the fair-loss assumption.
-                        if expected.get(header.from as usize) != Some(&src) {
-                            continue;
-                        }
-                        if let Some(link) =
-                            incoming.get(header.from as usize).and_then(Option::as_ref)
-                        {
-                            link.deliver(header, payload);
-                        }
-                    }
-                })
-                .expect("spawn demux thread");
-            endpoints.push(Endpoint {
-                shutdown,
-                handle: Some(handle),
-            });
         }
         Ok(matrix)
-    }
-}
-
-impl Drop for UdpLoopback {
-    fn drop(&mut self) {
-        let mut endpoints = self.endpoints.lock().expect("endpoints poisoned");
-        for e in endpoints.iter() {
-            e.shutdown.store(true, Ordering::Relaxed);
-        }
-        for e in endpoints.iter_mut() {
-            if let Some(h) = e.handle.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -230,7 +166,7 @@ impl Drop for UdpLoopback {
 mod tests {
     use super::*;
     use snapstab_sim::SendFate;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn recv_within<M>(link: &Arc<dyn Link<M>>, secs: u64) -> Option<M> {
         let deadline = Instant::now() + Duration::from_secs(secs);

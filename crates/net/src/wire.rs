@@ -1,7 +1,8 @@
-//! The datagram wire format: a fixed 16-byte header plus a compact
-//! little-endian payload encoding of the protocol message types.
+//! The wire format: a *record* is a fixed 16-byte header plus a compact
+//! little-endian payload encoding of one protocol message, and a *frame*
+//! — one UDP datagram — is one or more records laid end to end.
 //!
-//! Every datagram is self-describing enough for the receiving endpoint to
+//! Every record is self-describing enough for the receive path to
 //! enforce the paper's §4 channel semantics *without trusting the
 //! network*:
 //!
@@ -10,20 +11,24 @@
 //!       MAGIC  VERSION  from:u16  to:u16  lane:u16  seq:u64   payload
 //! ```
 //!
-//! * `from`/`to` name the directed link the datagram travels on (one
+//! * `from`/`to` name the directed link the record travels on (one
 //!   sequence space per ordered process pair);
 //! * `lane` is the capacity lane the message occupies (the sharded
 //!   service runs one lane per shard; plain links use lane 0);
 //! * `seq` is the per-link sequence number, assigned in send order —
 //!   the receiver delivers strictly increasing `seq` only, so a reordered
-//!   or duplicated datagram is *dropped*, which turns UDP's weak ordering
+//!   or duplicated record is *dropped*, which turns UDP's weak ordering
 //!   into the paper's FIFO fair-lossy channel.
 //!
 //! Payloads are encoded by the [`Wire`] trait — a minimal, dependency-free
 //! codec (the workspace is offline; no serde) implemented here for every
-//! message type the protocols exchange. Trailing bytes after a decoded
-//! payload mark the datagram malformed, and malformed datagrams are
-//! dropped (a fair-lossy channel is allowed to lose them).
+//! message type the protocols exchange. There is no length field: every
+//! [`Wire::decode`] consumes exactly its own bytes, so the next record
+//! starts where this one stops, and a frame of one record is byte for
+//! byte what [`encode_datagram`] produces (the format is still version
+//! 1). A record that does not parse takes the rest of its frame with it
+//! (a fair-lossy channel is allowed to lose them); [`decode_exact`]
+//! judges a payload standing alone, where trailing bytes are malformed.
 
 use snapstab_apps::SnapQuery;
 use snapstab_core::flag::Flag;
@@ -127,10 +132,17 @@ pub fn decode_exact<M: Wire>(buf: &[u8]) -> Option<M> {
     (r.remaining() == 0).then_some(m)
 }
 
-/// Encodes `header` + `msg` into `out` (cleared first) — the full
-/// datagram as it goes on the wire.
+/// Encodes `header` + `msg` into `out` (cleared first): one record
+/// standing alone, which is also the smallest frame the transport sends.
 pub fn encode_datagram<M: Wire>(header: Header, msg: &M, out: &mut Vec<u8>) {
     out.clear();
+    encode_record(header, msg, out);
+}
+
+/// Appends `header` + `msg` to `out` — one record of a frame. A frame is
+/// records laid end to end: every [`Wire::decode`] consumes exactly its
+/// own bytes, so the receiver finds the next record where this one stops.
+pub fn encode_record<M: Wire>(header: Header, msg: &M, out: &mut Vec<u8>) {
     out.push(MAGIC);
     out.push(VERSION);
     out.extend_from_slice(&header.from.to_le_bytes());
@@ -140,7 +152,8 @@ pub fn encode_datagram<M: Wire>(header: Header, msg: &M, out: &mut Vec<u8>) {
     msg.encode(out);
 }
 
-/// Splits a received datagram into its header and payload. `None` if the
+/// Splits the record at the head of a received frame into its header and
+/// what follows it (payload, then any further records). `None` if the
 /// buffer is too short or carries the wrong magic/version.
 pub fn decode_datagram(buf: &[u8]) -> Option<(Header, &[u8])> {
     if buf.len() < HEADER_LEN || buf[0] != MAGIC || buf[1] != VERSION {

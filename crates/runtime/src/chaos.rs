@@ -299,6 +299,14 @@ impl<M: Send + 'static> Link<M> for FaultLink<M> {
         self.inner.register_receiver(receiver);
     }
 
+    fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+        self.inner.register_waker(waker);
+    }
+
+    fn pump(&self) {
+        self.inner.pump();
+    }
+
     fn send(&self, msg: M) -> SendFate {
         let fault = self.plane.fault(self.inner.from(), self.inner.to());
         let bp = fault.drop_bp.load(Ordering::Relaxed) as u64;

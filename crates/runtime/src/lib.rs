@@ -108,8 +108,12 @@
 //! trait builds the directed [`Link`] matrix, and everything above it —
 //! workers, services, trace merging, the spec checkers — is
 //! backend-agnostic. [`InMemory`] (the default) wires [`LiveLink`]s;
-//! `snapstab-net`'s `UdpLoopback` wires real UDP datagram sockets with
-//! the same §4 semantics enforced in the receive path. Pass a backend to
+//! `snapstab-net`'s `UdpLoopback` wires links that share one real UDP
+//! socket, with the same §4 semantics enforced per record in the receive
+//! path. A transport owns no thread: a `send` that cannot deliver on the
+//! spot stages its message, and the workers of either backend call
+//! [`Link::pump`] once per scheduling quantum to move what is staged and
+//! deliver what has arrived (a no-op in memory). Pass a backend to
 //! [`LiveRunner::spawn_with_transport`], [`run_mutex_service_on`] or
 //! [`run_sharded_service_on`].
 //!

@@ -16,12 +16,14 @@
 //!   incremental live-link trick as the simulator's `SystemView`. Pool
 //!   workers steal ready instances and step them. A push wakes a worker
 //!   only when one is asleep (see "Wake-up protocol" below).
-//! * **Periodic sweep.** Message loss, delivery jitter, driver hooks and
-//!   socket transports (whose demultiplexer cannot see the ready queue)
-//!   all need time-driven re-examination; an idle pool re-enqueues every
-//!   live instance once per [`LiveConfig::max_backoff`] — the same
-//!   cadence at which an idle thread-backend worker re-polls, so
-//!   retransmission behaviour under loss matches across backends.
+//! * **Periodic sweep.** An idle pool re-enqueues every live instance
+//!   once per [`LiveConfig::max_backoff`] — the same cadence at which an
+//!   idle thread-backend worker re-polls, so retransmission behaviour
+//!   under loss matches across backends. Message loss, delivery jitter
+//!   and driver hooks need that time-driven re-examination, and so does
+//!   the protocol itself, with no loss at all: the sweep is the pool's
+//!   rendering of the paper's "every process is activated infinitely
+//!   often" (see "The sweep is the fairness timer" below).
 //! * **Same stamping, same checkers.** Every atomic action draws its
 //!   ticket from the identical global step counter and logs into a
 //!   per-instance [`Trace`]; [`MuxRunner::stop`] merges them exactly as
@@ -55,6 +57,19 @@
 //! * **Every `Enqueued` send is followed by `enqueue(to)`.** A send the
 //!   transport destroyed (`LostFull`, `LostInTransit`) put nothing in a
 //!   link, so its receiver is not woken.
+//! * **A staging transport wakes from its pump.** A transport whose
+//!   `send` only stages (UDP: the record enters the link when some
+//!   worker's [`Link::pump`](crate::Link::pump) reads it back from the
+//!   socket) answers `Enqueued` before the message is anywhere a
+//!   receiver could find it, so the `enqueue(to)` above may run the
+//!   receiver too early. `spawn_with_transport` therefore registers, on
+//!   every incoming link of instance `i`, a waker that calls
+//!   `enqueue(i)`; the link runs it after every record its queue
+//!   accepts, outside its locks. "A message entering a link is followed
+//!   by a wake-up of its receiver" thus holds for every transport, and
+//!   every quantum ends with one `pump` (after the instance lock is
+//!   released, before the self re-enqueue), so what a quantum staged is
+//!   in its links before any other instance is stepped by this worker.
 //! * **A stale "empty" poll is harmless.** [`crate::LiveLink`] polls an
 //!   atomic mirror of its queue length without the link lock. If the
 //!   receiver misses a concurrent push, the sender's `enqueue(to)` that
@@ -65,6 +80,35 @@
 //!   in the flag's modification order, reads from the sender's
 //!   `swap(true, AcqRel)` (or an RMW after it in the same release
 //!   sequence), and so acquires the link push before it polls.
+//!
+//! # The sweep is the fairness timer
+//!
+//! An instance is re-enqueued by traffic: a message entering one of its
+//! links, or its own quantum having received or driven something. An
+//! activation alone does not keep it hot — that is what keeps an idle
+//! fleet quiet — so an instance gets exactly *one* activation after its
+//! last receive. The protocols need more. The paper's model activates
+//! every process infinitely often, and the end of a wave spends that
+//! assumption: in Algorithm 3, PIF's A2 decides (no send), the IDL layer
+//! then notes the decision (no send), and only the next activation
+//! advances the phase and broadcasts. The deliveries that complete a
+//! wave carry a complete sender flag and so draw no reply
+//! (`PifCore::handle_receive` replies only while the neighbor is still
+//! waving); when every process completes its wave on such messages at
+//! about the same time, the links drain, every instance holds an enabled
+//! action, and nothing is left to enqueue anyone.
+//!
+//! Measured at PR 18's parent with `max_backoff = 5 s`, loss 0, **in
+//! memory**, n = 4, 2 workers, 100 requests per process: 2 of 80 and 3 of
+//! 60 seeded runs stalled for a full sweep period, and a probe at the
+//! sweep found, every time, all sixteen links empty, the other worker
+//! asleep, and all four processes with `pif.request = Done`, every flag
+//! complete and `idl.request = Done` — decided, one activation short of
+//! their next wave. No message was lost and no retransmission was
+//! pending. With the default 2 ms period the stall is invisible; with the
+//! sweep removed it would be permanent. The sweep is therefore not only a
+//! loss timer, and `max_backoff` bounds how long the pool may withhold an
+//! activation the model promises.
 //!
 //! ```
 //! use snapstab_core::idl::IdlProcess;
@@ -191,7 +235,9 @@ where
     /// An empty queue past the sweep deadline re-enqueues every live
     /// instance — the pool's analogue of the thread backend's park
     /// timeout, covering jittered deliveries, driver polling,
-    /// retransmission pacing under loss, and socket arrivals.
+    /// retransmission pacing under loss, and the activations the model
+    /// owes an instance no traffic reaches (module docs, "The sweep is
+    /// the fairness timer").
     fn next_ready(&self) -> Option<usize> {
         let mut st = self.ready.lock().expect("ready queue poisoned");
         loop {
@@ -357,6 +403,12 @@ where
         }
 
         drop(guard);
+        // The quantum's output leaves here, and what has arrived comes in
+        // (a no-op on in-memory links). Any link reaches the transport.
+        self.links[i * self.n + incoming_origin(i, 0)]
+            .as_ref()
+            .expect("off-diagonal")
+            .pump();
         if received > 0 || drove {
             self.enqueue(i);
         }
@@ -504,6 +556,24 @@ where
             stop: AtomicBool::new(false),
             sweep_period: config.max_backoff,
         });
+        // A transport whose `send` only stages cannot be followed by
+        // `commit`'s `enqueue(to)`: the message enters the link later,
+        // inside some worker's `pump`. Its links wake the receiver from
+        // there. `Weak`, because the links live inside `shared`.
+        for i in 0..n {
+            let pool = Arc::downgrade(&shared);
+            let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+                if let Some(pool) = pool.upgrade() {
+                    pool.enqueue(i);
+                }
+            });
+            for from in (0..n).filter(|&from| from != i) {
+                shared.links[from * n + i]
+                    .as_ref()
+                    .expect("off-diagonal")
+                    .register_waker(waker.clone());
+            }
+        }
         let handles = (0..workers)
             .map(|w| {
                 let shared = shared.clone();

@@ -55,7 +55,12 @@ pub struct LiveConfig {
     /// Initial park timeout of an idle worker.
     pub min_backoff: Duration,
     /// Park timeout ceiling; also bounds the retransmission period under
-    /// loss and the latency of a jittered delivery.
+    /// loss and the latency of a jittered delivery. On the mux backend it
+    /// is the sweep period, which is the fairness timer: the longest the
+    /// pool may withhold an activation from an instance that no traffic
+    /// reaches, the paper's "every process is activated infinitely
+    /// often". A lossless in-memory run needs it too (see
+    /// [`crate::mux`], "The sweep is the fairness timer").
     pub max_backoff: Duration,
 }
 
@@ -414,6 +419,11 @@ where
                 }
                 self.commit(step);
             }
+
+            // This iteration's output leaves here, and what has arrived
+            // comes in (a no-op on in-memory links) — before the decision
+            // to park, so nothing staged sleeps with its sender.
+            self.incoming[0].pump();
 
             if received == 0 && !commanded && !drove {
                 // Nothing arrived: park until a sender or the harness

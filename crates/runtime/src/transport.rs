@@ -15,11 +15,12 @@
 //!   a seeded per-link RNG. [`crate::LiveRunner::spawn`] and the service
 //!   front-ends use it by default; behavior is identical to the
 //!   pre-abstraction runtime.
-//! * `UdpLoopback` (`snapstab-net`) — real UDP datagram sockets, one per
-//!   process: the kernel supplies loss, duplication and finite buffering
-//!   for free, and the receive path *enforces* the paper's semantics
-//!   (FIFO by dropping out-of-order/duplicate datagrams, per-lane
-//!   capacity with silent drop-on-full).
+//! * `UdpLoopback` (`snapstab-net`) — a real UDP datagram socket, one
+//!   per topology: the kernel supplies loss, duplication and finite
+//!   buffering for free, and the receive path *enforces* the paper's
+//!   semantics per record (FIFO by dropping out-of-order/duplicate
+//!   records, per-lane capacity with silent drop-on-full). Its `send`
+//!   only stages; the workers move the bytes through [`Link::pump`].
 //!
 //! ```
 //! use snapstab_runtime::{InMemory, Link, LiveConfig, Transport};
@@ -76,7 +77,8 @@ pub fn assert_channel_domain(capacity: usize, loss: f64, lanes: usize) {
 ///
 /// Implementations must be thread-safe: the sending worker calls
 /// [`Link::send`] while the receiving worker calls [`Link::try_recv`]
-/// (and, for socket backends, a demultiplexer thread feeds the queue).
+/// (and, for socket backends, any worker's [`Link::pump`] feeds the
+/// queue).
 pub trait Link<M>: Send + Sync {
     /// Sender side of the link.
     fn from(&self) -> ProcessId;
@@ -109,6 +111,21 @@ pub trait Link<M>: Send + Sync {
 
     /// A copy of the cumulative counters.
     fn stats(&self) -> LinkStats;
+
+    /// Moves whatever the link's transport has buffered, in both
+    /// directions, for **every** link of the topology: sends what `send`
+    /// staged and delivers what has arrived. Both backends call it once
+    /// per scheduling quantum, on any one link. A transport whose `send`
+    /// puts the message in the link itself — [`LiveLink`] — has nothing
+    /// to move.
+    fn pump(&self) {}
+
+    /// Registers a callback run after every message this link's queue
+    /// accepts, outside the link's locks — for a transport whose `send`
+    /// returns before the message is in the link, so the sender cannot
+    /// wake the receiver itself. The mux backend registers its
+    /// ready-queue push on every incoming link of every instance.
+    fn register_waker(&self, _waker: Arc<dyn Fn() + Send + Sync>) {}
 }
 
 /// The full directed link matrix of a fully connected `n`-process

@@ -385,3 +385,53 @@ fn mux_instance_crash_is_independent_of_workers() {
     let markers: Vec<&str> = report.trace.markers().map(|(_, _, l)| l).collect();
     assert!(markers.contains(&"crash") && markers.contains(&"restart"));
 }
+
+/// The UDP transport follows the in-memory dynamics: the same seeded
+/// mutex service (n = 8, one pool worker, traced) over `InMemory` and
+/// over `UdpLoopback` serves everything and passes Specification 3 on
+/// both, and pays the same number of enqueued messages per served
+/// request to within 5 %. A frame flushed later than the end of the
+/// quantum that staged it lets A2 duplicates into queues the receiver
+/// has already emptied and reads +83 % here; a record that enters a
+/// link without waking its receiver stalls the run on the sweep.
+#[test]
+fn udp_mux_mutex_service_matches_in_memory_messages_per_request() {
+    use snapstab_repro::net::{udp_available, UdpLoopback};
+    use snapstab_repro::runtime::{run_mutex_service_mux_on, ServiceReport, Transport};
+
+    let cfg = MutexServiceConfig {
+        n: 8,
+        requests_per_process: 200,
+        cs_duration: 0,
+        live: LiveConfig {
+            seed: 0x0D9,
+            detail: TraceDetail::Spec,
+            ..LiveConfig::default()
+        },
+        time_budget: Duration::from_secs(60),
+    };
+    let run = |transport: &dyn Transport<_>| -> ServiceReport {
+        let report = run_mutex_service_mux_on(&cfg, 1, transport).expect("transport setup");
+        assert_eq!(report.served, 1600, "every request served");
+        let me = analyze_me_trace(report.trace.as_ref().expect("recording on"), cfg.n);
+        assert!(me.exclusivity_holds(), "{:?}", me.genuine_overlaps);
+        assert!(me.all_served(), "{:?}", me.unserved);
+        report
+    };
+    let per_request = |r: &ServiceReport| r.stats.links.enqueued as f64 / r.served as f64;
+
+    let memory = per_request(&run(&InMemory));
+    if !udp_available() {
+        eprintln!(
+            "warning: UDP loopback unavailable in this sandbox; skipping the UDP half of \
+             `udp_mux_mutex_service_matches_in_memory_messages_per_request`"
+        );
+        return;
+    }
+    let udp = per_request(&run(&UdpLoopback::new()));
+    eprintln!("enqueued messages per request: {udp:.1} over UDP, {memory:.1} in memory");
+    assert!(
+        (udp / memory - 1.0).abs() <= 0.05,
+        "enqueued messages per request: {udp:.1} over UDP, {memory:.1} in memory"
+    );
+}

@@ -376,3 +376,183 @@ fn drop_on_full_is_silent_and_counted() {
     assert_eq!(link.try_recv(), Some(42));
     assert_eq!(link.try_recv(), None, "dropped messages are gone");
 }
+
+use snapstab_repro::sim::SendFate;
+
+/// Connects a bare `n`-process `u32` topology: no runtime, so nothing
+/// pumps but the links themselves.
+fn bare_links(
+    transport: &UdpLoopback,
+    n: usize,
+    cfg: &LiveConfig,
+) -> Vec<Option<std::sync::Arc<dyn Link<u32>>>> {
+    Transport::<u32>::connect(transport, n, cfg, None).expect("bind")
+}
+
+/// Polls a bare link until it delivers or the deadline passes — `try_recv`
+/// only, so whatever moves the frame is the link's own doing.
+fn recv_bare(link: &std::sync::Arc<dyn Link<u32>>) -> u32 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(m) = link.try_recv() {
+            return m;
+        }
+        assert!(Instant::now() < deadline, "staged record never arrived");
+        std::thread::yield_now();
+    }
+}
+
+/// The bare-link contract: a `send` followed by `try_recv` delivers with
+/// no `pump`, `stats` or `len` call in between — the empty poll sees the
+/// link's own unjudged record and moves the frame itself.
+#[test]
+fn send_then_try_recv_needs_no_pump() {
+    if skip_without_udp("send_then_try_recv_needs_no_pump") {
+        return;
+    }
+    let transport = UdpLoopback::new();
+    let links = bare_links(&transport, 2, &LiveConfig::default());
+    let link = links[1].as_ref().expect("0 -> 1");
+    for value in [7u32, 8, 9] {
+        assert_eq!(link.send(value), SendFate::Enqueued);
+        assert_eq!(recv_bare(link), value);
+    }
+    let frames = transport.frame_stats();
+    assert_eq!((frames.frames_sent, frames.records_sent), (3, 3));
+}
+
+/// §4 capacity is enforced per record *inside* a frame: k sends staged
+/// before any poll travel as one datagram, and at the capacity-1 lane
+/// the first is accepted and the other k − 1 are dropped, silently (every
+/// fate was `Enqueued`) and counted.
+#[test]
+fn k_sends_in_one_frame_meet_capacity_record_by_record() {
+    if skip_without_udp("k_sends_in_one_frame_meet_capacity_record_by_record") {
+        return;
+    }
+    const K: u32 = 5;
+    let transport = UdpLoopback::new();
+    let links = bare_links(&transport, 2, &LiveConfig::default());
+    let link = links[1].as_ref().expect("0 -> 1").clone();
+    for value in 0..K {
+        assert_eq!(
+            link.send(100 + value),
+            SendFate::Enqueued,
+            "a drop at the receive half must stay silent at the sender"
+        );
+    }
+    let stats = wait_stats(&link, |s| s.enqueued + s.lost_full >= u64::from(K));
+    assert_eq!(stats.sends, u64::from(K));
+    assert_eq!(stats.enqueued, 1, "one record fits the capacity-1 lane");
+    assert_eq!(stats.lost_full, u64::from(K) - 1);
+    assert_eq!(stats.lost_reorder, 0);
+    assert_eq!(link.try_recv(), Some(100), "the head of the frame got in");
+    assert_eq!(link.try_recv(), None);
+    let frames = transport.frame_stats();
+    assert_eq!(
+        (frames.frames_sent, frames.records_sent),
+        (1, u64::from(K)),
+        "the k records shared one frame"
+    );
+}
+
+/// Two links interleaved in one frame keep independent sequence spaces
+/// and each stays FIFO: nothing is taken for a reorder of the other.
+#[test]
+fn links_sharing_a_frame_keep_their_own_seq_and_fifo() {
+    if skip_without_udp("links_sharing_a_frame_keep_their_own_seq_and_fifo") {
+        return;
+    }
+    let transport = UdpLoopback::new();
+    let cfg = LiveConfig {
+        capacity: 8,
+        ..LiveConfig::default()
+    };
+    let links = bare_links(&transport, 3, &cfg);
+    let a = links[1].as_ref().expect("0 -> 1").clone();
+    let b = links[2 * 3].as_ref().expect("2 -> 0").clone();
+    for i in 0..4u32 {
+        a.send(10 + i);
+        b.send(20 + i);
+    }
+    let stats_a = wait_stats(&a, |s| s.enqueued >= 4);
+    let stats_b = wait_stats(&b, |s| s.enqueued >= 4);
+    assert_eq!((stats_a.lost_reorder, stats_b.lost_reorder), (0, 0));
+    assert_eq!((stats_a.lost_full, stats_b.lost_full), (0, 0));
+    for i in 0..4u32 {
+        assert_eq!(a.try_recv(), Some(10 + i));
+        assert_eq!(b.try_recv(), Some(20 + i));
+    }
+    assert_eq!((a.try_recv(), b.try_recv()), (None, None));
+    let frames = transport.frame_stats();
+    assert_eq!((frames.frames_sent, frames.records_sent), (1, 8));
+}
+
+/// Staging more than one frame's budget sends the full frame first: the
+/// records arrive in several frames, none larger than an Ethernet
+/// payload, in order and all of them.
+#[test]
+fn staging_past_the_frame_budget_splits_into_frames() {
+    if skip_without_udp("staging_past_the_frame_budget_splits_into_frames") {
+        return;
+    }
+    const SENDS: u32 = 200; // 20 bytes a record: ~73 fit one frame
+    let transport = UdpLoopback::new();
+    let cfg = LiveConfig {
+        capacity: usize::MAX,
+        ..LiveConfig::default()
+    };
+    let links = bare_links(&transport, 2, &cfg);
+    let link = links[1].as_ref().expect("0 -> 1").clone();
+    for i in 0..SENDS {
+        link.send(i);
+    }
+    let stats = wait_stats(&link, |s| s.enqueued >= u64::from(SENDS));
+    assert_eq!((stats.lost_full, stats.lost_reorder), (0, 0));
+    let frames = transport.frame_stats();
+    assert!(frames.frames_sent >= 2, "{frames:?}");
+    assert!(frames.max_frame_bytes <= 1472, "{frames:?}");
+    assert_eq!(frames.records_sent, u64::from(SENDS));
+    assert_eq!(frames.frames_received, frames.frames_sent);
+    assert_eq!((frames.send_errors, frames.records_rejected), (0, 0));
+    for i in 0..SENDS {
+        assert_eq!(link.try_recv(), Some(i));
+    }
+}
+
+/// The injected-loss draw still precedes staging: `loss = 0.3`, seed 7
+/// loses exactly the sends it lost when every message was its own
+/// datagram (the list is the parent commit's), and a lost send stages
+/// nothing.
+#[test]
+fn seeded_loss_keeps_its_fate_stream_and_stages_nothing_for_a_lost_send() {
+    if skip_without_udp("seeded_loss_keeps_its_fate_stream_and_stages_nothing_for_a_lost_send") {
+        return;
+    }
+    const LOST: [u32; 54] = [
+        4, 11, 12, 16, 17, 23, 25, 30, 31, 36, 41, 42, 48, 55, 64, 65, 66, 68, 69, 73, 75, 76, 79,
+        80, 90, 95, 96, 100, 103, 104, 107, 109, 116, 117, 121, 132, 135, 136, 138, 142, 151, 152,
+        155, 157, 158, 159, 169, 172, 173, 176, 180, 185, 188, 191,
+    ];
+    let transport = UdpLoopback::new();
+    let cfg = LiveConfig {
+        loss: 0.3,
+        seed: 7,
+        capacity: usize::MAX,
+        ..LiveConfig::default()
+    };
+    let links = bare_links(&transport, 2, &cfg);
+    let link = links[1].as_ref().expect("0 -> 1").clone();
+    let lost: Vec<u32> = (0..200u32)
+        .filter(|&i| link.send(i) == SendFate::LostInTransit)
+        .collect();
+    assert_eq!(lost, LOST);
+    let survivors = 200 - LOST.len() as u64;
+    let stats = wait_stats(&link, |s| s.enqueued >= survivors);
+    assert_eq!(stats.lost_in_transit, LOST.len() as u64);
+    assert_eq!(transport.frame_stats().records_sent, survivors);
+    // What was not lost arrives in send order.
+    let arrived: Vec<u32> = std::iter::from_fn(|| link.try_recv()).collect();
+    let expected: Vec<u32> = (0..200).filter(|i| !LOST.contains(i)).collect();
+    assert_eq!(arrived, expected);
+}
