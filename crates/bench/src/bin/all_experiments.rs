@@ -1,4 +1,5 @@
-//! Runs the entire experiment suite (DESIGN.md section 5) in order.
+//! Runs the entire experiment suite (indexed in the `snapstab-bench`
+//! crate docs) in order.
 use snapstab_bench::experiments as ex;
 
 fn main() {

@@ -7,7 +7,7 @@
 //!   in which the initiator's decision takes a *forged* feedback into
 //!   account. The count is positive for every `m < 4` and zero from the
 //!   paper's `m = 4` upward.
-//! * **A2 — the `mod (n+1)` erratum (DESIGN.md D2).** Algorithm 3 with
+//! * **A2 — the `mod (n+1)` erratum (deviation D2, ARCHITECTURE.md §11).** Algorithm 3 with
 //!   the literal `Value ← (Value+1) mod (n+1)` reaches the value `n`,
 //!   which favours nobody; from then on no request is ever served — a
 //!   livelock the corrected `mod n` arithmetic cannot enter.
@@ -298,7 +298,7 @@ pub fn run(fast: bool) -> String {
     out.push_str(
         "\nverdict: the literal mod (n+1) drives the leader's Value to the dead value n \
          (favours nobody) and requests starve; the corrected mod n serves everyone — \
-         supporting the erratum reading (DESIGN.md D2).\n",
+         supporting the erratum reading (deviation D2).\n",
     );
     out
 }

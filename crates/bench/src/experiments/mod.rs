@@ -1,4 +1,5 @@
-//! The experiment suite: one module per paper artifact (DESIGN.md §5).
+//! The experiment suite: one module per paper artifact (indexed in the
+//! crate docs).
 
 pub mod ablation;
 pub mod apps;

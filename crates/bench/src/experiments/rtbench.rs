@@ -9,10 +9,10 @@
 //! Seven sweeps feed `BENCH_RUNTIME.json`:
 //!
 //! * the **baseline** `n × loss` sweep
-//!   ([`run_mutex_service_on`]: one leader, one request
+//!   ([`MutexServiceConfig`]: one leader, one request
 //!   per grant) — the protocol-bound curve PR 2 committed;
 //! * the **sharded** `shards × batch` sweep
-//!   ([`run_sharded_service`]: `S` leaders over
+//!   ([`ShardedServiceConfig`]: `S` leaders over
 //!   hash-partitioned resource keys, up to `batch` non-conflicting
 //!   requests per grant) — the curve that multiplies it — including a
 //!   shallow-vs-deep client-queue pair at `n = 64` (the `queue_depth`
@@ -23,12 +23,12 @@
 //!   crossing the kernel's datagram stack is a committed number. Every
 //!   row carries a `transport` tag;
 //! * the **forwarding** `n × loss` sweep
-//!   ([`run_forwarding_service_on`]: the snap-stabilizing message
+//!   ([`ForwardingServiceConfig`]: the snap-stabilizing message
 //!   forwarding protocol, every run starting from adversarially
 //!   stale-pre-filled buffers) — end-to-end payload delivery, the first
 //!   non-mutex workload in the artifact — plus an in-memory-vs-UDP pair
 //!   (rows tagged by `transport` like the udp sweep);
-//! * the **chaos** sweep ([`run_mutex_service_chaos_on`]): the
+//! * the **chaos** sweep ([`ChaosPlan`]): the
 //!   single-leader service under every seeded fault mix
 //!   (`corrupt`, `crash`, `partition`, `storm`, `all`) with the
 //!   supervised self-healing runtime, over the in-memory transport and
@@ -38,7 +38,7 @@
 //!   per-epoch Specification 3 checker judged (every row asserts the
 //!   verdict holds before it can land in the artifact);
 //! * the **observability** sweep
-//!   ([`run_monitored_mutex_service_on`]): the single-leader service
+//!   ([`Monitoring`]): the single-leader service
 //!   with the snap-stabilizing snapshot monitor riding the same
 //!   transport, against an identically-configured unmonitored baseline
 //!   (three interleaved samples per pair, median-by-wall halves
@@ -48,7 +48,7 @@
 //!   is gated by a trace-recorded audit run at the same configuration
 //!   whose every decided cut must pass executable Specification 5
 //!   (`analyze_snapshot_trace`) before the row can land in the artifact;
-//! * the **mux** runtime sweep ([`run_mutex_service_mux`]): the
+//! * the **mux** runtime sweep ([`Backend::Mux`]): the
 //!   single-leader service on the event-driven multiplexed backend —
 //!   N protocol instances over a small worker pool — at
 //!   `n ∈ {64, 256, 1024}`, paired with the thread backend at `n = 64`
@@ -58,6 +58,8 @@
 //!   that the mux backend beats thread-per-process where both exist and
 //!   keeps scaling where threads cannot.
 //!
+//! Every sweep runs through the one driver, [`run_service`].
+//!
 //! Every row serializes the latency *distribution* (mean, p50, p99), not
 //! just the mean, and the emitted JSON is parsed back through the bench's
 //! own schema ([`from_json`]) before it can land in the committed
@@ -66,12 +68,12 @@
 use std::time::Duration;
 
 use snapstab_core::spec::{analyze_me_epochs, analyze_snapshot_trace};
-use snapstab_net::UdpLoopback;
+use snapstab_net::{UdpLoopback, Wire};
+use snapstab_runtime::service::Msg;
 use snapstab_runtime::{
-    run_forwarding_service_on, run_monitored_mutex_service_mux_on, run_monitored_mutex_service_on,
-    run_mutex_service_chaos_on, run_mutex_service_mux, run_mutex_service_mux_on,
-    run_mutex_service_on, run_sharded_service, ChaosMix, ChaosPlan, ForwardingServiceConfig,
-    InMemory, LiveConfig, MonitorConfig, MutexServiceConfig, ShardedServiceConfig,
+    run_service, Backend, ChaosMix, ChaosPlan, ChaosReport, ForwardingServiceConfig, InMemory,
+    LiveConfig, MonitorConfig, Monitoring, MutexServiceConfig, ServiceApp, ServiceRun,
+    ShardedServiceConfig, Transport,
 };
 
 use crate::jsonv::{self, Value};
@@ -88,6 +90,36 @@ pub enum RtTransport {
 }
 
 impl RtTransport {
+    /// Runs `app` over this transport on `backend`, under `chaos` if
+    /// given.
+    fn run<A: ServiceApp>(
+        self,
+        app: A,
+        backend: Backend,
+        chaos: Option<&ChaosPlan>,
+    ) -> (A::Report, Option<ChaosReport>)
+    where
+        Msg<A>: Wire,
+    {
+        let udp;
+        let transport: &dyn Transport<Msg<A>> = match self {
+            RtTransport::InMem => &InMemory,
+            RtTransport::Udp => {
+                udp = UdpLoopback::new();
+                &udp
+            }
+        };
+        run_service(
+            app,
+            ServiceRun {
+                backend,
+                transport,
+                chaos,
+            },
+        )
+        .expect("transport setup (guard UDP rows with `udp_available`)")
+    }
+
     /// The JSON tag of this backend.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -197,11 +229,7 @@ pub fn measure(
         },
         time_budget: budget,
     };
-    let report = match transport {
-        RtTransport::InMem => run_mutex_service_on(&cfg, &InMemory),
-        RtTransport::Udp => run_mutex_service_on(&cfg, &UdpLoopback::new()),
-    }
-    .expect("transport setup (guard UDP rows with `udp_available`)");
+    let (report, _) = transport.run(&cfg, Backend::Threads, None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     RtResult {
         n,
@@ -255,7 +283,7 @@ pub fn measure_sharded(
     } else {
         cfg
     };
-    let report = run_sharded_service(&cfg);
+    let (report, _) = RtTransport::InMem.run(&cfg, Backend::Threads, None);
     let cs_entries = report
         .processes
         .iter()
@@ -400,11 +428,7 @@ pub fn measure_forwarding(
         },
         time_budget: budget,
     };
-    let report = match transport {
-        RtTransport::InMem => run_forwarding_service_on(&cfg, &InMemory),
-        RtTransport::Udp => run_forwarding_service_on(&cfg, &UdpLoopback::new()),
-    }
-    .expect("transport setup (guard UDP rows with `udp_available`)");
+    let (report, _) = transport.run(&cfg, Backend::Threads, None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     RtResult {
         n,
@@ -574,6 +598,15 @@ pub enum RtBackend {
 }
 
 impl RtBackend {
+    /// The runtime backend this tag names, with `workers` pool threads
+    /// for mux.
+    fn runtime(self, workers: usize) -> Backend {
+        match self {
+            RtBackend::Threads => Backend::Threads,
+            RtBackend::Mux => Backend::Mux { workers },
+        }
+    }
+
     /// The JSON tag of this backend.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -659,13 +692,11 @@ pub fn measure_mux(
         },
         time_budget: budget,
     };
-    let (report, workers) = match backend {
-        RtBackend::Threads => (
-            run_mutex_service_on(&cfg, &InMemory).expect("the in-memory transport is infallible"),
-            n,
-        ),
-        RtBackend::Mux => (run_mutex_service_mux(&cfg, workers), workers),
+    let workers = match backend {
+        RtBackend::Threads => n,
+        RtBackend::Mux => workers,
     };
+    let (report, _) = RtTransport::InMem.run(&cfg, backend.runtime(workers), None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     MuxResult {
         n,
@@ -804,11 +835,8 @@ pub fn measure_chaos(
         disruption,
         ..ChaosPlan::profile(mix, seed)
     };
-    let (report, chaos) = match transport {
-        RtTransport::InMem => run_mutex_service_chaos_on(&cfg, &InMemory, &plan),
-        RtTransport::Udp => run_mutex_service_chaos_on(&cfg, &UdpLoopback::new(), &plan),
-    }
-    .expect("transport setup (guard UDP rows with `udp_available`)");
+    let (report, chaos) = transport.run(&cfg, Backend::Threads, Some(&plan));
+    let chaos = chaos.expect("chaos plan was given");
     let trace = report.trace.as_ref().expect("chaos rows record the trace");
     let epochs = analyze_me_epochs(trace, n, &chaos.fault_steps);
     assert!(
@@ -854,12 +882,14 @@ pub fn sweep_chaos(fast: bool) -> Vec<ChaosRow> {
         ChaosMix::All,
     ];
     if fast {
+        // 3 bursts × 30 ms quiet: 40 requests per process finished before
+        // the first burst on a fast host, leaving no recovery sample.
         return vec![measure_chaos(
             3,
             RtTransport::InMem,
             ChaosMix::All,
             0.0,
-            40,
+            400,
             Duration::from_millis(30),
             Duration::from_millis(20),
             Duration::from_secs(60),
@@ -1038,37 +1068,12 @@ pub fn measure_observability(
         initiators,
         ..MonitorConfig::default()
     };
-    let run_base = |cfg: &MutexServiceConfig| {
-        match (backend, transport) {
-            (RtBackend::Threads, RtTransport::InMem) => run_mutex_service_on(cfg, &InMemory),
-            (RtBackend::Threads, RtTransport::Udp) => {
-                run_mutex_service_on(cfg, &UdpLoopback::new())
-            }
-            (RtBackend::Mux, RtTransport::InMem) => {
-                run_mutex_service_mux_on(cfg, workers, &InMemory)
-            }
-            (RtBackend::Mux, RtTransport::Udp) => {
-                run_mutex_service_mux_on(cfg, workers, &UdpLoopback::new())
-            }
-        }
-        .expect("transport setup (guard UDP rows with `udp_available`)")
-    };
+    let runtime = backend.runtime(workers);
+    let run_base = |cfg: &MutexServiceConfig| transport.run(cfg, runtime, None).0;
     let run_mon = |cfg: &MutexServiceConfig| {
-        match (backend, transport) {
-            (RtBackend::Threads, RtTransport::InMem) => {
-                run_monitored_mutex_service_on(cfg, &mon_cfg, &InMemory)
-            }
-            (RtBackend::Threads, RtTransport::Udp) => {
-                run_monitored_mutex_service_on(cfg, &mon_cfg, &UdpLoopback::new())
-            }
-            (RtBackend::Mux, RtTransport::InMem) => {
-                run_monitored_mutex_service_mux_on(cfg, &mon_cfg, workers, &InMemory)
-            }
-            (RtBackend::Mux, RtTransport::Udp) => {
-                run_monitored_mutex_service_mux_on(cfg, &mon_cfg, workers, &UdpLoopback::new())
-            }
-        }
-        .expect("transport setup (guard UDP rows with `udp_available`)")
+        transport
+            .run(Monitoring::new(cfg, &mon_cfg), runtime, None)
+            .0
     };
     let pair_cfg = cfg(false, requests_per_process);
     let mut bases = Vec::with_capacity(OBS_SAMPLES);
@@ -2458,7 +2463,8 @@ mod tests {
             interval: Duration::from_millis(5),
             ..MonitorConfig::default()
         };
-        let report = run_monitored_mutex_service_on(&cfg, &mon, &InMemory).expect("inmem spawns");
+        let (report, _) =
+            run_service(Monitoring::new(&cfg, &mon), ServiceRun::default()).expect("inmem spawns");
         assert!(!report.monitor.cuts.is_empty(), "need cuts to serialize");
         let mut series = Series::default();
         for cut in &report.monitor.cuts {

@@ -1,7 +1,6 @@
 //! # snapstab-bench — the experiment harness
 //!
-//! One module (and one binary) per paper artifact, as indexed in
-//! DESIGN.md §5 and recorded in EXPERIMENTS.md:
+//! One module (and one binary) per paper artifact:
 //!
 //! | id | artifact | module |
 //! |----|----------|--------|
@@ -33,7 +32,7 @@ pub use stats::Summary;
 pub use table::Table;
 
 /// Global "fast mode" knob: experiment binaries accept `--fast` to shrink
-/// trial counts for smoke runs; the full runs back EXPERIMENTS.md.
+/// trial counts for smoke runs.
 pub fn is_fast(args: &[String]) -> bool {
     args.iter().any(|a| a == "--fast")
 }

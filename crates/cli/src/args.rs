@@ -37,25 +37,22 @@ impl Args {
         args
     }
 
-    /// An option parsed as `T`, or `default` when absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message if the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T
+    /// An option parsed as `T`, or `default` when absent; an error
+    /// naming the flag and its value when the value does not parse.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
     where
-        T::Err: std::fmt::Debug,
+        T::Err: std::fmt::Display,
     {
         match self.options.get(key) {
-            None => default,
+            None => Ok(default),
             Some(raw) => raw
                 .parse()
-                .unwrap_or_else(|e| panic!("invalid --{key} {raw}: {e:?}")),
+                .map_err(|e| format!("invalid --{key} `{raw}`: {e}")),
         }
     }
 
     /// The raw (unparsed) value of an option, if present — for callers
-    /// that validate with a usage error instead of a panic.
+    /// with their own validation.
     pub fn get_raw(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
@@ -78,9 +75,9 @@ mod tests {
     fn parses_command_options_switches() {
         let a = parse("pif --n 5 --loss 0.3 --corrupt --seed 42");
         assert_eq!(a.command.as_deref(), Some("pif"));
-        assert_eq!(a.get_or("n", 0usize), 5);
-        assert!((a.get_or("loss", 0.0f64) - 0.3).abs() < 1e-9);
-        assert_eq!(a.get_or("seed", 0u64), 42);
+        assert_eq!(a.get_or("n", 0usize), Ok(5));
+        assert!((a.get_or("loss", 0.0f64).unwrap() - 0.3).abs() < 1e-9);
+        assert_eq!(a.get_or("seed", 0u64), Ok(42));
         assert!(a.has("corrupt"));
         assert!(!a.has("trace"));
     }
@@ -88,8 +85,8 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("me");
-        assert_eq!(a.get_or("n", 3usize), 3);
-        assert_eq!(a.get_or("steps", 10_000u64), 10_000);
+        assert_eq!(a.get_or("n", 3usize), Ok(3));
+        assert_eq!(a.get_or("steps", 10_000u64), Ok(10_000));
     }
 
     #[test]
@@ -103,12 +100,5 @@ mod tests {
     fn empty_input() {
         let a = parse("");
         assert!(a.command.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid --n")]
-    fn bad_value_panics_with_message() {
-        let a = parse("pif --n abc");
-        let _ = a.get_or("n", 0usize);
     }
 }

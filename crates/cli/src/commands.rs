@@ -1,13 +1,33 @@
 //! The CLI subcommands: run a protocol from a (optionally corrupted)
 //! start and report what happened.
 
+use std::fmt::Display;
+use std::str::FromStr;
+use std::time::Duration;
+
+use snapstab_core::forward::ForwardEvent;
 use snapstab_core::idl::IdlProcess;
-use snapstab_core::me::{MeConfig, MeProcess, ValueMode};
+use snapstab_core::me::{MeConfig, MeEvent, MeProcess, ValueMode};
+use snapstab_core::probe::MonitorEventView;
 use snapstab_core::request::RequestState;
-use snapstab_core::spec::{analyze_me_trace, check_idl_result};
+use snapstab_core::shard::project_shard_trace;
+use snapstab_core::spec::{
+    analyze_forwarding_epochs, analyze_forwarding_trace, analyze_me_epochs, analyze_me_trace,
+    analyze_snapshot_trace, check_idl_result,
+};
 use snapstab_impossibility::DoubleWinDemo;
+use snapstab_net::{UdpLoopback, Wire};
+use snapstab_runtime::service::{min_mean_max, quantiles, Msg};
+use snapstab_runtime::{
+    project_service_trace, run_service, summary_json_line, Alert, AlertConfig, Backend, ChaosMix,
+    ChaosPlan, ChaosReport, ForwardingServiceConfig, ForwardingServiceReport, InMemory, LinkSample,
+    LinkStats, LiveConfig, LiveStats, MonitorConfig, MonitorReport, MonitoredForwardingReport,
+    MonitoredMutexReport, Monitoring, MutexServiceConfig, Series, ServiceApp, ServiceReport,
+    ServiceRun, ShardedReport, ShardedServiceConfig, Transport,
+};
 use snapstab_sim::{
-    Capacity, CorruptionPlan, LossModel, NetworkBuilder, ProcessId, RandomScheduler, Runner, SimRng,
+    Capacity, CorruptionPlan, LossModel, Message, NetworkBuilder, ProcessId, RandomScheduler,
+    Runner, SimRng, Trace,
 };
 
 use crate::args::Args;
@@ -47,9 +67,9 @@ COMMAND OPTIONS
                  --runtime {threads|mux} (default threads: one OS thread
                  per process; mux multiplexes the n protocol instances
                  over an event-driven worker pool, scaling to thousands
-                 of instances; composes with --monitor — digests are
-                 captured inside the same atomic per-instance step; not
-                 with --shards/--batch/--queue-depth),
+                 of instances; composes with every app, --chaos and
+                 --monitor — digests are captured inside the same atomic
+                 per-instance step),
                  --workers <int> (default 4): mux worker-pool size,
                  --chaos {corrupt|crash|partition|storm|all}: inject a
                  seeded schedule of mid-run transient faults (state
@@ -96,11 +116,28 @@ COMMAND OPTIONS
   impossibility: --cs-duration <int> (default 8)
 ";
 
+/// A report (or usage error) and the process exit code.
+type Outcome = (String, i32);
+
+/// The exit-2 usage error: `msg`, then the usage text.
+fn usage(msg: impl Display) -> Outcome {
+    (format!("{msg}\n\n{USAGE}"), 2)
+}
+
+/// `--key` parsed as `T`, `default` when absent, or a usage error
+/// naming the flag and its value.
+fn flag<T: FromStr>(args: &Args, key: &str, default: T) -> Result<T, Outcome>
+where
+    T::Err: Display,
+{
+    args.get_or(key, default).map_err(usage)
+}
+
 /// Runs the `idl` subcommand; returns the report text.
-pub fn cmd_idl(args: &Args) -> String {
-    let n: usize = args.get_or("n", 4);
-    let seed: u64 = args.get_or("seed", 1);
-    let loss: f64 = args.get_or("loss", 0.0);
+pub fn cmd_idl(args: &Args) -> Result<String, Outcome> {
+    let n: usize = flag(args, "n", 4)?;
+    let seed: u64 = flag(args, "seed", 1)?;
+    let loss: f64 = flag(args, "loss", 0.0)?;
     let ids: Vec<u64> = (0..n)
         .map(|i| 1 + ((7919 * (i as u64 + seed)) % 9973))
         .collect();
@@ -147,17 +184,17 @@ pub fn cmd_idl(args: &Args) -> String {
             &snapstab_sim::RenderOptions::default(),
         ));
     }
-    out
+    Ok(out)
 }
 
 /// Runs the `me` subcommand; returns the report text.
-pub fn cmd_me(args: &Args) -> String {
-    let n: usize = args.get_or("n", 4);
-    let seed: u64 = args.get_or("seed", 1);
-    let loss: f64 = args.get_or("loss", 0.0);
-    let steps: u64 = args.get_or("steps", 60_000);
-    let requests: u32 = args.get_or("requests", 3);
-    let cs_duration: u64 = args.get_or("cs-duration", 0);
+pub fn cmd_me(args: &Args) -> Result<String, Outcome> {
+    let n: usize = flag(args, "n", 4)?;
+    let seed: u64 = flag(args, "seed", 1)?;
+    let loss: f64 = flag(args, "loss", 0.0)?;
+    let steps: u64 = flag(args, "steps", 60_000)?;
+    let requests: u32 = flag(args, "requests", 3)?;
+    let cs_duration: u64 = flag(args, "cs-duration", 0)?;
 
     let config = MeConfig {
         cs_duration,
@@ -216,57 +253,7 @@ pub fn cmd_me(args: &Args) -> String {
             out.push_str(&format!("  {p}: requested @{req}, served @{srv}\n"));
         }
     }
-    out
-}
-
-/// Runs the `live` subcommand: the mutual-exclusion service on the live
-/// multi-threaded runtime. Returns the report text and an exit code —
-/// non-zero when requests went unserved within the budget or (under
-/// `--check`) the merged trace violates Specification 3, so scripts and
-/// CI can gate on a live regression.
-/// The flags shared by both `live` variants, parsed once so their
-/// defaults cannot diverge.
-struct LiveFlags {
-    n: usize,
-    seed: u64,
-    loss: f64,
-    jitter_ms: u64,
-    requests: u64,
-    cs_duration: u64,
-    budget_secs: u64,
-    check: bool,
-    shards: usize,
-    batch: usize,
-    queue_depth: u64,
-    transport: String,
-    runtime: String,
-    workers: usize,
-}
-
-impl LiveFlags {
-    fn parse(args: &Args) -> Self {
-        LiveFlags {
-            n: args.get_or("n", 4),
-            seed: args.get_or("seed", 1),
-            loss: args.get_or("loss", 0.0),
-            jitter_ms: args.get_or("jitter", 0),
-            requests: args.get_or("requests", 50),
-            cs_duration: args.get_or("cs-duration", 0),
-            budget_secs: args.get_or("budget-secs", 60),
-            check: args.has("check"),
-            shards: args.get_or("shards", 1),
-            batch: args.get_or("batch", 1),
-            queue_depth: args.get_or("queue-depth", 0),
-            transport: args.get_or("transport", "inmem".to_string()),
-            runtime: args.get_or("runtime", "threads".to_string()),
-            workers: args.get_or("workers", 4),
-        }
-    }
-}
-
-/// `--jitter MS` as the runtime's optional per-delivery delay (0 = off).
-fn jitter(ms: u64) -> Option<std::time::Duration> {
-    (ms > 0).then(|| std::time::Duration::from_millis(ms))
+    Ok(out)
 }
 
 /// The valid `--transport` backends, listed in the exit-2 error message.
@@ -280,215 +267,865 @@ const APPS: [&str; 2] = ["mutex", "forward"];
 /// the exit-2 error message (same convention as `--transport`).
 const RUNTIMES: [&str; 2] = ["threads", "mux"];
 
-/// Validates `--runtime` plus its `--workers` pool size, or an exit-2
-/// usage error matching the `--transport` precedent. Returns `true`
-/// when the event-driven mux backend was selected.
-fn parse_runtime(name: &str, workers: usize) -> Result<bool, (String, i32)> {
-    match name {
-        "threads" => Ok(false),
-        "mux" if workers == 0 => Err((
-            format!("invalid --workers 0: the mux pool needs at least one worker\n\n{USAGE}"),
-            2,
-        )),
-        "mux" => Ok(true),
-        other => Err((
-            format!(
-                "unknown --runtime `{other}`: valid values are {}\n\n{USAGE}",
-                RUNTIMES.join(", ")
-            ),
-            2,
-        )),
-    }
+/// The workload of a `live` run: `--app`, with `--shards`, `--batch` or
+/// `--queue-depth` selecting the sharded variant of the mutex service
+/// (which keeps its `--queue-depth` for the header).
+enum App {
+    Mutex(MutexServiceConfig),
+    Forward(ForwardingServiceConfig),
+    Sharded(ShardedServiceConfig, u64),
 }
 
-/// Validates `--app`, or an exit-2 usage error matching the
-/// `--transport` precedent.
-fn parse_app(name: &str) -> Result<&str, (String, i32)> {
-    if APPS.contains(&name) {
-        Ok(name)
-    } else {
-        Err((
-            format!(
-                "unknown --app `{name}`: valid values are {}\n\n{USAGE}",
-                APPS.join(", ")
-            ),
-            2,
-        ))
-    }
+/// The `--transport` of a `live` run. An enum rather than a boxed
+/// [`Transport`], because the report reads the UDP backend's frame
+/// counters after the run.
+enum Net {
+    InMem(InMemory),
+    Udp(UdpLoopback),
 }
 
-/// Resolves `--chaos` to a fault-mix profile: `Ok(None)` when absent, an
-/// exit-2 usage error listing the valid set for an unknown (or missing)
-/// profile — the same contract as `parse_transport` / `--app`.
-fn parse_chaos(args: &Args) -> Result<Option<snapstab_runtime::ChaosMix>, (String, i32)> {
-    use snapstab_runtime::ChaosMix;
-    let raw = args.get_or("chaos", String::new());
-    if raw.is_empty() {
-        if args.has("chaos") {
-            return Err((
-                format!(
-                    "missing --chaos profile: valid values are {}\n\n{USAGE}",
-                    ChaosMix::NAMES.join(", ")
-                ),
-                2,
-            ));
+impl Net {
+    fn transport<M: Wire + Send + 'static>(&self) -> &dyn Transport<M> {
+        match self {
+            Net::InMem(t) => t,
+            Net::Udp(t) => t,
         }
-        return Ok(None);
     }
-    match ChaosMix::parse(&raw) {
-        Some(mix) => Ok(Some(mix)),
-        None => Err((
-            format!(
-                "unknown --chaos `{raw}`: valid values are {}\n\n{USAGE}",
-                ChaosMix::NAMES.join(", ")
-            ),
-            2,
-        )),
-    }
-}
 
-/// Resolves `--monitor` / `--monitor-interval` to a monitor
-/// configuration: `Ok(None)` when monitoring is off, an exit-2 usage
-/// error for an invalid interval (zero or non-numeric), listing the
-/// valid input — the same contract as `parse_transport`. Passing
-/// `--monitor-interval` alone implies `--monitor` (never silently
-/// ignored, the `--queue-depth` precedent).
-fn parse_monitor(
-    args: &Args,
-    n: usize,
-) -> Result<Option<snapstab_runtime::MonitorConfig>, (String, i32)> {
-    let raw = args.get_raw("monitor-interval");
-    let raw_initiators = args.get_raw("initiators");
-    let raw_streak = args.get_raw("alert-refusal-streak");
-    let monitoring = args.has("monitor")
-        || raw.is_some()
-        || raw_initiators.is_some()
-        || args.has("initiators")
-        || raw_streak.is_some()
-        || args.has("alert-refusal-streak")
-        || args.has("metrics-out")
-        || args.get_raw("metrics-out").is_some();
-    if !monitoring {
-        return Ok(None);
+    /// The UDP transport's frame counters — how many records shared a
+    /// `send_to`, and every way a frame or record was lost outside the
+    /// link counters. Empty for the in-memory transport.
+    fn framing_line(&self) -> String {
+        let Net::Udp(udp) = self else {
+            return String::new();
+        };
+        let f = udp.frame_stats();
+        format!(
+            "udp framing: {} frame(s) sent carrying {} record(s), {:.2} records per \
+             frame, largest {} bytes; {} received; errors: {} refused frame(s), \
+             {} rejected record(s), {} foreign frame(s)\n",
+            f.frames_sent,
+            f.records_sent,
+            f.records_sent as f64 / f.frames_sent.max(1) as f64,
+            f.max_frame_bytes,
+            f.frames_received,
+            f.send_errors,
+            f.records_rejected,
+            f.frames_foreign,
+        )
     }
-    let interval_ms = match raw {
-        None => 100,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                return Err((
-                    format!(
-                        "invalid --monitor-interval `{raw}`: valid values are \
-                         positive integers (milliseconds between cuts)\n\n{USAGE}"
-                    ),
-                    2,
-                ))
-            }
-        },
-    };
-    let initiators = match raw_initiators {
-        None if args.has("initiators") => {
-            return Err((
-                format!(
-                    "missing --initiators count: valid values are integers \
-                     in 1..=n (concurrent snapshot initiators)\n\n{USAGE}"
-                ),
-                2,
-            ))
-        }
-        None => 1,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(k) if k >= 1 && k <= n => k,
-            _ => {
-                return Err((
-                    format!(
-                        "invalid --initiators `{raw}`: valid values are \
-                         integers in 1..=n (here 1..={n}, concurrent \
-                         snapshot initiators)\n\n{USAGE}"
-                    ),
-                    2,
-                ))
-            }
-        },
-    };
-    let refusal_streak = match raw_streak {
-        None if args.has("alert-refusal-streak") => {
-            return Err((
-                format!(
-                    "missing --alert-refusal-streak threshold: valid values \
-                     are positive integers (consecutive refusals on one \
-                     ledger before the alert fires)\n\n{USAGE}"
-                ),
-                2,
-            ))
-        }
-        None => snapstab_runtime::AlertConfig::default().refusal_streak,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(k) if k >= 1 => k,
-            _ => {
-                return Err((
-                    format!(
-                        "invalid --alert-refusal-streak `{raw}`: valid values \
-                         are positive integers (consecutive refusals on one \
-                         ledger before the alert fires)\n\n{USAGE}"
-                    ),
-                    2,
-                ))
-            }
-        },
-    };
-    Ok(Some(snapstab_runtime::MonitorConfig {
-        interval: std::time::Duration::from_millis(interval_ms),
-        initiators,
-        alerts: snapstab_runtime::AlertConfig {
-            refusal_streak,
-            ..snapstab_runtime::AlertConfig::default()
-        },
-    }))
 }
 
 /// Where `--metrics-out` streams the telemetry JSON lines: inline with
-/// the report (`-`) or appended to a file.
+/// the report (`-`) or to a file.
 enum MetricsOut {
     Inline,
     File(std::path::PathBuf),
 }
 
+/// A parsed `live` command line: the app, the run, what to print.
+struct Live {
+    n: usize,
+    seed: u64,
+    loss: f64,
+    requests: u64,
+    budget_secs: u64,
+    trace: bool,
+    app: App,
+    transport: String,
+    net: Net,
+    backend: Backend,
+    chaos: Option<ChaosMix>,
+    monitor: Option<MonitorConfig>,
+    metrics_out: Option<MetricsOut>,
+}
+
+impl Live {
+    /// Parses and validates every `live` flag; an invalid one is an
+    /// exit-2 usage error naming it and, where the set is closed, the
+    /// valid values.
+    fn parse(args: &Args) -> Result<Live, Outcome> {
+        let forward = match flag(args, "app", "mutex".to_string())?.as_str() {
+            "mutex" => false,
+            "forward" => true,
+            other => {
+                return Err(usage(format!(
+                    "unknown --app `{other}`: valid values are {}",
+                    APPS.join(", ")
+                )))
+            }
+        };
+        let n = flag(args, "n", 4)?;
+        let backend = match flag(args, "runtime", "threads".to_string())?.as_str() {
+            "threads" => Backend::Threads,
+            "mux" => match flag(args, "workers", 4)? {
+                0 => {
+                    return Err(usage(
+                        "invalid --workers 0: the mux pool needs at least one worker",
+                    ))
+                }
+                workers => Backend::Mux { workers },
+            },
+            other => {
+                return Err(usage(format!(
+                    "unknown --runtime `{other}`: valid values are {}",
+                    RUNTIMES.join(", ")
+                )))
+            }
+        };
+        let chaos = parse_chaos(args)?;
+        let monitor = parse_monitor(args, n)?;
+        let metrics_out = parse_metrics_out(args)?;
+        let (seed, loss, requests) = (
+            flag(args, "seed", 1)?,
+            flag(args, "loss", 0.0)?,
+            flag(args, "requests", 50)?,
+        );
+        let live = LiveConfig {
+            loss,
+            seed,
+            jitter: Some(Duration::from_millis(flag(args, "jitter", 0)?)).filter(|j| !j.is_zero()),
+            // --chaos implies recording: the epoch verdicts need the
+            // merged trace.
+            record_trace: args.has("check") || chaos.is_some(),
+            ..LiveConfig::default()
+        };
+        let budget_secs = flag(args, "budget-secs", 60)?;
+        let time_budget = Duration::from_secs(budget_secs);
+        let cs_duration = flag(args, "cs-duration", 0)?;
+        let (shards, batch, queue_depth) = (
+            flag(args, "shards", 1)?,
+            flag(args, "batch", 1)?,
+            flag(args, "queue-depth", 0)?,
+        );
+        let app = if forward {
+            let buffer_cap = flag(args, "buffer", 4)?;
+            if buffer_cap == 0 {
+                return Err(usage("invalid --buffer 0: lanes need at least one slot"));
+            }
+            App::Forward(ForwardingServiceConfig {
+                n,
+                payloads_per_process: requests,
+                buffer_cap,
+                prefill_stale: args.has("stale"),
+                live,
+                time_budget,
+            })
+        } else if shards > 1 || batch > 1 || queue_depth > 0 {
+            // --queue-depth sizes per-shard client queues, so (like
+            // --shards and --batch) it selects the sharded service — a
+            // 1-shard, batch-1 sharded run degenerates to the plain
+            // service, and the flag is never silently ignored.
+            for (set, name) in [(chaos.is_some(), "chaos"), (monitor.is_some(), "monitor")] {
+                if set {
+                    return Err(usage(format!(
+                        "--{name} is not supported with the sharded service \
+                         (--shards/--batch/--queue-depth)"
+                    )));
+                }
+            }
+            let cfg = ShardedServiceConfig {
+                n,
+                shards,
+                batch,
+                requests_per_process: requests,
+                key_space: flag(args, "key-space", 1 << 16)?,
+                cs_duration,
+                live,
+                time_budget,
+            };
+            // --queue-depth D sizes the workload by target per-shard
+            // queue depth instead of --requests.
+            match queue_depth {
+                0 => App::Sharded(cfg, 0),
+                depth => App::Sharded(cfg.with_queue_depth(depth), depth),
+            }
+        } else {
+            App::Mutex(MutexServiceConfig {
+                n,
+                requests_per_process: requests,
+                cs_duration,
+                live,
+                time_budget,
+            })
+        };
+        let transport = flag(args, "transport", "inmem".to_string())?;
+        let net = match transport.as_str() {
+            "inmem" => Net::InMem(InMemory),
+            "udp" => Net::Udp(UdpLoopback::new()),
+            other => {
+                return Err(usage(format!(
+                    "unknown --transport `{other}`: valid values are {}",
+                    TRANSPORTS.join(", ")
+                )))
+            }
+        };
+        Ok(Live {
+            n,
+            seed,
+            loss,
+            requests,
+            budget_secs,
+            trace: args.has("trace"),
+            app,
+            transport,
+            net,
+            backend,
+            chaos,
+            monitor,
+            metrics_out,
+        })
+    }
+
+    /// The requested workload. Reports compare against it, not against
+    /// the injected count: the clients inject lazily, so a budget-capped
+    /// run has injected ≈ served and would otherwise read (and exit) as
+    /// complete.
+    fn total(&self) -> u64 {
+        self.requests * self.n as u64
+    }
+
+    /// What one unit of the workload is called.
+    fn noun(&self) -> &'static str {
+        match self.app {
+            App::Forward(_) => "payload",
+            _ => "request",
+        }
+    }
+
+    /// The report's first line: what runs, on what, for how long.
+    fn header(&self) -> String {
+        let runtime = match self.backend {
+            Backend::Threads => format!("n={} worker threads", self.n),
+            Backend::Mux { workers } => {
+                format!("n={} instances on {workers} mux worker(s)", self.n)
+            }
+        };
+        let per_process = format!("{} {}(s) per process", self.requests, self.noun());
+        let (name, before_loss, after_loss) = match &self.app {
+            App::Mutex(_) => ("mutex", String::new(), per_process),
+            App::Forward(cfg) => (
+                "forwarding",
+                String::new(),
+                format!(
+                    "{per_process}, buffer cap {}{}",
+                    cfg.buffer_cap,
+                    if cfg.prefill_stale {
+                        ", stale-pre-filled buffers"
+                    } else {
+                        ""
+                    }
+                ),
+            ),
+            App::Sharded(cfg, depth) => (
+                "sharded mutex",
+                format!(
+                    "{} shard(s) (one leader each), batch≤{}, ",
+                    cfg.shards, cfg.batch
+                ),
+                match depth {
+                    0 => per_process,
+                    depth => format!("queue depth {depth} per shard"),
+                },
+            ),
+        };
+        let (monitored, cuts) = match &self.monitor {
+            Some(mon) => (
+                "monitored ",
+                format!(
+                    ", {} initiator(s), cut interval {}ms",
+                    mon.initiators,
+                    mon.interval.as_millis()
+                ),
+            ),
+            None => ("", String::new()),
+        };
+        format!(
+            "Live {monitored}{name} service: {runtime} ({} transport), {before_loss}loss={}, \
+             {after_loss}{cuts}, budget {}s\n",
+            self.transport, self.loss, self.budget_secs
+        )
+    }
+}
+
+/// Runs the `live` subcommand: one app on the live runtime. Returns the
+/// report text and an exit code — non-zero when the workload fell short
+/// within the budget or (under `--check`) a specification verdict
+/// fails, so scripts and CI can gate on a live regression.
+pub fn cmd_live(args: &Args) -> Outcome {
+    let live = match Live::parse(args) {
+        Ok(live) => live,
+        Err(usage) => return usage,
+    };
+    match (&live.app, &live.monitor) {
+        (App::Mutex(cfg), Some(mon)) => launch(&live, Monitoring::new(cfg, mon)),
+        (App::Mutex(cfg), None) => launch(&live, cfg),
+        (App::Forward(cfg), Some(mon)) => launch(&live, Monitoring::new(cfg, mon)),
+        (App::Forward(cfg), None) => launch(&live, cfg),
+        (App::Sharded(cfg, _), _) => launch(&live, cfg),
+    }
+}
+
+/// Runs `app` the way `live` says and renders its report — the one
+/// place the `live` subcommand reaches the runtime, and its one report
+/// path.
+fn launch<A>(live: &Live, app: A) -> Outcome
+where
+    A: ServiceApp,
+    A::Report: Rendered,
+    Msg<A>: Wire,
+{
+    let mut out = live.header();
+    let plan = live.chaos.map(|mix| ChaosPlan::profile(mix, live.seed));
+    let run = ServiceRun {
+        backend: live.backend,
+        transport: live.net.transport(),
+        chaos: plan.as_ref(),
+    };
+    let (report, chaos) = match run_service(app, run) {
+        Ok(done) => done,
+        Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
+    };
+    let common = report.common();
+    let monitor = report.monitor().zip(live.monitor.as_ref());
+    out.push_str(&report.summary(live.total()));
+    if let Some((m, mon)) = monitor {
+        out.push_str(&format!(
+            "; {} cut(s) decided ({:.1} cuts/s), {} refused\n",
+            m.cuts.len(),
+            m.cuts_per_sec(),
+            m.refused
+        ));
+        monitor_lines(&mut out, m, mon);
+    } else {
+        out.push('\n');
+    }
+    out.push_str(&link_counters_line(&common.stats.links));
+    if let Backend::Mux { .. } = live.backend {
+        out.push_str(&mux_scheduling_line(common.stats, common.completed));
+    }
+    out.push_str(&live.net.framing_line());
+    out.push_str(&per_link_table(common.links));
+    report.detail(&mut out);
+    if let (Some(mix), Some(c)) = (live.chaos, &chaos) {
+        out.push_str(&chaos_summary(mix, c));
+    }
+    if let (Some((min, mean, max)), Some(q)) = (
+        min_mean_max(common.latencies),
+        quantiles(common.latencies, &[0.5, 0.99]),
+    ) {
+        out.push_str(&format!(
+            "{} latency: min {:.2} / mean {:.2} / p50 {:.2} / p99 {:.2} / max {:.2} ms\n",
+            if let App::Forward(_) = live.app {
+                "end-to-end"
+            } else {
+                "service"
+            },
+            ms(min),
+            ms(mean),
+            ms(q[0]),
+            ms(q[1]),
+            ms(max),
+        ));
+    }
+    let mut ok = report.verdicts(live, chaos.as_ref(), &mut out);
+    if let Some((m, mon)) = monitor {
+        let rate = common.completed as f64 / common.wall.as_secs_f64();
+        let summary = summary_json_line(mon.interval, m, rate);
+        if let Some(target) = &live.metrics_out {
+            let mut series = Series::default();
+            let mut lines: Vec<String> = m
+                .cuts
+                .iter()
+                .map(|cut| series.observe(cut).json_line())
+                .collect();
+            lines.extend(m.alerts.iter().map(Alert::json_line));
+            lines.push(summary.clone());
+            ok &= deliver_metrics(&mut out, target, &lines);
+        }
+        // The same schema-stable summary line the telemetry stream ends
+        // with, so the report block and `--metrics-out` cannot drift.
+        out.push_str(&format!("monitor metrics: {summary}\n"));
+    }
+    if live.trace {
+        for (i, lat) in common.latencies.iter().take(20).enumerate() {
+            out.push_str(&format!("  {} {i}: {:.2} ms\n", live.noun(), ms(*lat)));
+        }
+    }
+    (out, i32::from(!ok))
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// The parts of a report every `live` run prints.
+struct Common<'r> {
+    /// Requests served or payloads delivered.
+    completed: u64,
+    wall: Duration,
+    stats: &'r LiveStats,
+    links: &'r [LinkSample],
+    latencies: &'r [Duration],
+}
+
+/// What the one `live` renderer reads from a report.
+trait Rendered {
+    fn common(&self) -> Common<'_>;
+
+    /// The result line (without its newline): what completed, how fast.
+    fn summary(&self, total: u64) -> String;
+
+    /// The monitoring half of a monitored run.
+    fn monitor(&self) -> Option<&MonitorReport> {
+        None
+    }
+
+    /// Lines only this app prints.
+    fn detail(&self, _out: &mut String) {}
+
+    /// Prints the verdict lines — every specification the recorded
+    /// trace is judged by — and returns whether they hold and the
+    /// workload completed.
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool;
+}
+
+impl Rendered for ServiceReport {
+    fn common(&self) -> Common<'_> {
+        Common {
+            completed: self.served,
+            wall: self.wall,
+            stats: &self.stats,
+            links: &self.link_samples,
+            latencies: &self.latencies,
+        }
+    }
+
+    fn summary(&self, total: u64) -> String {
+        format!(
+            "served {}/{total} requests in {:.2}s: {:.0} req/s, {:.0} CS/s, {:.0} msgs/s",
+            self.served,
+            self.wall.as_secs_f64(),
+            self.requests_per_sec(),
+            self.cs_per_sec(),
+            self.msgs_per_sec(),
+        )
+    }
+
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool {
+        let spec = self
+            .trace
+            .as_ref()
+            .is_none_or(|trace| spec3(trace, live.n, chaos, None, out));
+        spec && self.served >= live.total()
+    }
+}
+
+impl Rendered for ForwardingServiceReport {
+    fn common(&self) -> Common<'_> {
+        Common {
+            completed: self.delivered,
+            wall: self.wall,
+            stats: &self.stats,
+            links: &self.link_samples,
+            latencies: &self.latencies,
+        }
+    }
+
+    fn summary(&self, total: u64) -> String {
+        format!(
+            "delivered {}/{total} payloads in {:.2}s: {:.0} payloads/s, {:.0} msgs/s, \
+             {} spurious stale flush(es)",
+            self.delivered,
+            self.wall.as_secs_f64(),
+            self.payloads_per_sec(),
+            self.msgs_per_sec(),
+            self.spurious,
+        )
+    }
+
+    /// Under chaos, state corruption may destroy payloads in flight
+    /// through protocol buffers; the epoch verdict (which classifies
+    /// them as interrupted at a fault boundary) is the pass/fail signal,
+    /// not the raw delivery count.
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool {
+        let spec = self
+            .trace
+            .as_ref()
+            .is_none_or(|trace| spec4(trace, live.n, chaos, None, out));
+        spec && (chaos.is_some() || self.delivered >= live.total())
+    }
+}
+
+impl Rendered for ShardedReport {
+    fn common(&self) -> Common<'_> {
+        Common {
+            completed: self.served,
+            wall: self.wall,
+            stats: &self.stats,
+            links: &self.link_samples,
+            latencies: &self.latencies,
+        }
+    }
+
+    /// Against the injected total, which `--queue-depth` sizes.
+    fn summary(&self, _total: u64) -> String {
+        format!(
+            "served {}/{} requests in {:.2}s: {:.0} req/s over {} grants \
+             ({:.0} grants/s, {:.2} requests per grant), {:.0} msgs/s",
+            self.served,
+            self.injected.len(),
+            self.wall.as_secs_f64(),
+            self.requests_per_sec(),
+            self.grant_log.len(),
+            self.grants_per_sec(),
+            self.mean_batch(),
+            self.msgs_per_sec(),
+        )
+    }
+
+    fn detail(&self, out: &mut String) {
+        for (s, served) in self.per_shard_served.iter().enumerate() {
+            out.push_str(&format!("  shard {s}: {served} request(s) served\n"));
+        }
+    }
+
+    /// The grant-log audit, then Specification 3 on each shard's
+    /// projection of the merged trace.
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool {
+        let audit = self.audit();
+        out.push_str(&format!(
+            "grant-log audit: conflict-free batches: {}; routing respected: {}; \
+             served exactly once: {}\n",
+            audit.conflicting_grants.is_empty(),
+            audit.misrouted_grants.is_empty(),
+            audit.unserved_ids.is_empty()
+                && audit.duplicate_ids.is_empty()
+                && audit.unknown_ids.is_empty(),
+        ));
+        let mut ok = audit.holds() && self.served as usize >= self.injected.len();
+        if let Some(trace) = &self.trace {
+            for s in 0..self.per_shard_served.len() {
+                let on = format!("shard {s}'s projected trace");
+                ok &= spec3(
+                    &project_shard_trace(trace, s),
+                    live.n,
+                    chaos,
+                    Some(&on),
+                    out,
+                );
+            }
+        }
+        ok
+    }
+}
+
+impl Rendered for MonitoredMutexReport {
+    fn common(&self) -> Common<'_> {
+        Common {
+            completed: self.served,
+            wall: self.wall,
+            stats: &self.stats,
+            links: &self.link_samples,
+            latencies: &self.latencies,
+        }
+    }
+
+    fn summary(&self, total: u64) -> String {
+        format!(
+            "served {}/{total} requests in {:.2}s: {:.0} req/s",
+            self.served,
+            self.wall.as_secs_f64(),
+            self.requests_per_sec(),
+        )
+    }
+
+    fn monitor(&self) -> Option<&MonitorReport> {
+        Some(&self.monitor)
+    }
+
+    /// Specification 5 on the cuts, Specification 3 on the projected
+    /// service trace.
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool {
+        let spec = self.trace.as_ref().is_none_or(|trace| {
+            let on = Some("the projected service trace");
+            let service = project_service_trace(trace);
+            spec5(trace, live.n, chaos, out) & spec3(&service, live.n, chaos, on, out)
+        });
+        spec && self.served >= live.total()
+    }
+}
+
+impl Rendered for MonitoredForwardingReport {
+    fn common(&self) -> Common<'_> {
+        Common {
+            completed: self.delivered,
+            wall: self.wall,
+            stats: &self.stats,
+            links: &self.link_samples,
+            latencies: &self.latencies,
+        }
+    }
+
+    fn summary(&self, total: u64) -> String {
+        format!(
+            "delivered {}/{total} payloads in {:.2}s: {:.0} payloads/s, {} spurious stale \
+             flush(es)",
+            self.delivered,
+            self.wall.as_secs_f64(),
+            self.payloads_per_sec(),
+            self.spurious,
+        )
+    }
+
+    fn monitor(&self) -> Option<&MonitorReport> {
+        Some(&self.monitor)
+    }
+
+    /// Specification 5 on the cuts, Specification 4 on the projected
+    /// service trace; chaos voids the delivery count as for the
+    /// unmonitored service.
+    fn verdicts(&self, live: &Live, chaos: Option<&ChaosReport>, out: &mut String) -> bool {
+        let spec = self.trace.as_ref().is_none_or(|trace| {
+            let on = Some("the projected service trace");
+            let service = project_service_trace(trace);
+            spec5(trace, live.n, chaos, out) & spec4(&service, live.n, chaos, on, out)
+        });
+        spec && (chaos.is_some() || self.delivered >= live.total())
+    }
+}
+
+/// The trace a verdict line names: the merged live trace unless `on`
+/// names a projection.
+const MERGED: &str = "the merged live trace";
+
+/// Specification 3 on a mutex trace — per fault epoch under chaos —
+/// as one verdict line; returns whether it holds.
+fn spec3<M: Message>(
+    trace: &Trace<M, MeEvent>,
+    n: usize,
+    chaos: Option<&ChaosReport>,
+    on: Option<&str>,
+    out: &mut String,
+) -> bool {
+    match chaos {
+        Some(c) => {
+            let e = analyze_me_epochs(trace, n, &c.fault_steps);
+            out.push_str(&format!(
+                "spec 3 per epoch{}: {} epoch(s), {} served, {} interrupted at fault \
+                 boundaries, {} forged fault mark(s); holds: {}\n",
+                on.map(|on| format!(" ({on})")).unwrap_or_default(),
+                e.epochs_checked(),
+                e.served_total(),
+                e.interrupted_total(),
+                e.forged_marks.len(),
+                e.holds(),
+            ));
+            e.holds()
+        }
+        None => {
+            let s = analyze_me_trace(trace, n);
+            out.push_str(&format!(
+                "spec 3 on {}: genuine CS overlaps: {}; spurious: {}; exclusivity holds: {}\n",
+                on.unwrap_or(MERGED),
+                s.genuine_overlaps.len(),
+                s.spurious_overlaps.len(),
+                s.exclusivity_holds(),
+            ));
+            s.exclusivity_holds()
+        }
+    }
+}
+
+/// Specification 4 on a forwarding trace — per fault epoch under chaos
+/// — as one verdict line; returns whether it holds.
+fn spec4<M: Message>(
+    trace: &Trace<M, ForwardEvent>,
+    n: usize,
+    chaos: Option<&ChaosReport>,
+    on: Option<&str>,
+    out: &mut String,
+) -> bool {
+    match chaos {
+        Some(c) => {
+            let e = analyze_forwarding_epochs(trace, n, &c.fault_steps);
+            out.push_str(&format!(
+                "spec 4 per epoch{}: {} epoch(s), {} delivered, {} interrupted at fault \
+                 boundaries, {} epoch-crossing, {} forged fault mark(s); holds: {}\n",
+                on.map(|on| format!(" ({on})")).unwrap_or_default(),
+                e.epochs_checked(),
+                e.delivered_total(),
+                e.interrupted_total(),
+                e.crossing.len(),
+                e.forged_marks.len(),
+                e.holds(),
+            ));
+            e.holds()
+        }
+        None => {
+            let s = analyze_forwarding_trace(trace, n);
+            out.push_str(&format!(
+                "spec 4 on {}: lost: {}; duplicated ids: {}; corrupt deliveries: {}; \
+                 spurious: {}; holds: {}\n",
+                on.unwrap_or(MERGED),
+                s.lost.len(),
+                s.duplicate_ids.len(),
+                s.corrupt_deliveries.len(),
+                s.spurious,
+                s.holds(),
+            ));
+            s.holds()
+        }
+    }
+}
+
+/// Specification 5 on a monitored run's merged trace, as one verdict
+/// line; returns whether it holds.
+fn spec5<M, E>(trace: &Trace<M, E>, n: usize, chaos: Option<&ChaosReport>, out: &mut String) -> bool
+where
+    M: Message,
+    E: MonitorEventView + Clone + std::fmt::Debug + PartialEq + 'static,
+{
+    let faults = chaos.map_or(&[][..], |c| &c.fault_steps);
+    let spec = analyze_snapshot_trace(trace, n, faults);
+    out.push_str(&format!(
+        "spec 5 on the merged trace: {} cut(s) decided ({} clean, {} \
+         interrupted at faults), {} refused, {} pending; fabricated: {}, \
+         torn: {}, crashed values: {}, causal violations: {}; holds: {}\n",
+        spec.cuts_decided(),
+        spec.clean_cuts(),
+        spec.interrupted_total(),
+        spec.refused.len(),
+        spec.pending.len(),
+        spec.fabricated.len(),
+        spec.torn.len(),
+        spec.crashed_values.len(),
+        spec.causal_violations.len(),
+        spec.holds(),
+    ));
+    spec.holds()
+}
+
+/// Resolves `--chaos` to a fault-mix profile: `Ok(None)` when absent, an
+/// exit-2 usage error listing the valid set for an unknown (or missing)
+/// profile — the same contract as `--transport` / `--app`.
+fn parse_chaos(args: &Args) -> Result<Option<ChaosMix>, Outcome> {
+    let valid = ChaosMix::NAMES.join(", ");
+    match args.get_raw("chaos") {
+        None if args.has("chaos") => Err(usage(format!(
+            "missing --chaos profile: valid values are {valid}"
+        ))),
+        None => Ok(None),
+        Some(raw) => ChaosMix::parse(raw)
+            .map(Some)
+            .ok_or_else(|| usage(format!("unknown --chaos `{raw}`: valid values are {valid}"))),
+    }
+}
+
+/// `--key` as an integer in `range`, `default` when absent, or the
+/// exit-2 usage error listing the `valid` values — a bare `--key` is
+/// missing its `noun`, never silently the default.
+fn bounded(
+    args: &Args,
+    key: &str,
+    noun: &str,
+    default: u64,
+    range: std::ops::RangeInclusive<u64>,
+    valid: &str,
+) -> Result<u64, Outcome> {
+    match args.get_raw(key) {
+        None if args.has(key) => Err(usage(format!(
+            "missing --{key} {noun}: valid values are {valid}"
+        ))),
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .ok()
+            .filter(|v| range.contains(v))
+            .ok_or_else(|| usage(format!("invalid --{key} `{raw}`: valid values are {valid}"))),
+    }
+}
+
+/// Resolves the monitor flags to a monitor configuration: `Ok(None)`
+/// when monitoring is off, an exit-2 usage error for an invalid value.
+/// Any monitor flag implies `--monitor` (never silently ignored, the
+/// `--queue-depth` precedent).
+fn parse_monitor(args: &Args, n: usize) -> Result<Option<MonitorConfig>, Outcome> {
+    let implied = [
+        "monitor-interval",
+        "initiators",
+        "alert-refusal-streak",
+        "metrics-out",
+    ];
+    let monitoring = args.has("monitor")
+        || implied
+            .iter()
+            .any(|key| args.has(key) || args.get_raw(key).is_some());
+    if !monitoring {
+        return Ok(None);
+    }
+    let interval_ms = bounded(
+        args,
+        "monitor-interval",
+        "period",
+        100,
+        1..=u64::MAX,
+        "positive integers (milliseconds between cuts)",
+    )?;
+    let initiators = bounded(
+        args,
+        "initiators",
+        "count",
+        1,
+        1..=n as u64,
+        &format!("integers in 1..=n (here 1..={n}, concurrent snapshot initiators)"),
+    )?;
+    let refusal_streak = bounded(
+        args,
+        "alert-refusal-streak",
+        "threshold",
+        AlertConfig::default().refusal_streak,
+        1..=u64::MAX,
+        "positive integers (consecutive refusals on one ledger before the alert fires)",
+    )?;
+    Ok(Some(MonitorConfig {
+        interval: Duration::from_millis(interval_ms),
+        initiators: initiators as usize,
+        alerts: AlertConfig {
+            refusal_streak,
+            ..AlertConfig::default()
+        },
+    }))
+}
+
 /// Resolves `--metrics-out` (implies `--monitor`): `-` streams the
 /// schema-stable JSON lines inline with the report, any other value is
 /// a file path. A bare switch is an exit-2 usage error listing the
-/// valid form (the `parse_transport` precedent).
-fn parse_metrics_out(args: &Args) -> Result<Option<MetricsOut>, (String, i32)> {
-    if let Some(raw) = args.get_raw("metrics-out") {
-        if raw == "-" {
-            return Ok(Some(MetricsOut::Inline));
-        }
-        return Ok(Some(MetricsOut::File(std::path::PathBuf::from(raw))));
+/// valid form.
+fn parse_metrics_out(args: &Args) -> Result<Option<MetricsOut>, Outcome> {
+    match args.get_raw("metrics-out") {
+        Some("-") => Ok(Some(MetricsOut::Inline)),
+        Some(path) => Ok(Some(MetricsOut::File(path.into()))),
+        None if args.has("metrics-out") => Err(usage(
+            "missing --metrics-out target: valid values are a file path, or `-` to stream \
+             the JSON lines inline with the report",
+        )),
+        None => Ok(None),
     }
-    if args.has("metrics-out") {
-        return Err((
-            format!(
-                "missing --metrics-out target: valid values are a file \
-                 path, or `-` to stream the JSON lines inline with the \
-                 report\n\n{USAGE}"
-            ),
-            2,
-        ));
-    }
-    Ok(None)
 }
 
 /// Delivers the collected telemetry JSON lines to the `--metrics-out`
 /// target: appended verbatim to the report for `-`, written to the file
-/// otherwise (noted in the report either way).
-fn deliver_metrics(out: &mut String, target: &MetricsOut, lines: &[String]) -> Option<i32> {
+/// otherwise (noted in the report either way). Returns whether the
+/// lines were delivered.
+fn deliver_metrics(out: &mut String, target: &MetricsOut, lines: &[String]) -> bool {
     match target {
         MetricsOut::Inline => {
             for line in lines {
                 out.push_str(line);
                 out.push('\n');
             }
-            None
+            true
         }
         MetricsOut::File(path) => {
             let mut body = lines.join("\n");
@@ -500,26 +1137,77 @@ fn deliver_metrics(out: &mut String, target: &MetricsOut, lines: &[String]) -> O
                         lines.len(),
                         path.display()
                     ));
-                    None
+                    true
                 }
                 Err(e) => {
                     out.push_str(&format!(
                         "telemetry: failed to write {}: {e}\n",
                         path.display()
                     ));
-                    Some(1)
+                    false
                 }
             }
         }
     }
 }
 
+/// The monitoring block of a monitored run: one summary line per
+/// decided cut (bounded), the per-initiator split when there are
+/// several, and the alerts raised (bounded) — matching the `alert:`
+/// marks recorded in the merged trace.
+fn monitor_lines(out: &mut String, m: &MonitorReport, mon: &MonitorConfig) {
+    const CUTS_SHOWN: usize = 20;
+    const ALERTS_SHOWN: usize = 10;
+    for cut in m.cuts.iter().take(CUTS_SHOWN) {
+        out.push_str(&format!(
+            "  cut #{} (initiator {}) @step {}: served {}, queued {}, {} in flight, \
+             {} in transit, staleness {:.2} ms\n",
+            cut.cut,
+            cut.initiator.index(),
+            cut.step,
+            cut.served_total(),
+            cut.queue_total(),
+            cut.in_flight_total(),
+            cut.in_transit_total(),
+            ms(cut.staleness),
+        ));
+    }
+    if m.cuts.len() > CUTS_SHOWN {
+        out.push_str(&format!(
+            "  ... {} more cut(s) elided\n",
+            m.cuts.len() - CUTS_SHOWN
+        ));
+    }
+    if mon.initiators > 1 {
+        for s in m.per_initiator() {
+            out.push_str(&format!(
+                "  initiator {}: {} cut(s) ({:.1} cuts/s), {} refused\n",
+                s.initiator.index(),
+                s.cuts,
+                m.cuts_per_sec_of(s.initiator),
+                s.refused,
+            ));
+        }
+    }
+    if !m.alerts.is_empty() {
+        out.push_str(&format!("alerts: {} raised\n", m.alerts.len()));
+        for a in m.alerts.iter().take(ALERTS_SHOWN) {
+            out.push_str(&format!("  {}\n", a.mark()));
+        }
+        if m.alerts.len() > ALERTS_SHOWN {
+            out.push_str(&format!(
+                "  ... {} more alert(s) elided\n",
+                m.alerts.len() - ALERTS_SHOWN
+            ));
+        }
+    }
+}
+
 /// The per-link half of the counter report: one row per directed link,
 /// identical for every transport backend (the in-memory matrix and the
-/// UDP loopback expose the same [`snapstab_runtime::LinkSample`]s).
-/// Zero-activity links are elided to keep the table proportional to the
-/// traffic, not to n².
-fn per_link_table(samples: &[snapstab_runtime::LinkSample]) -> String {
+/// UDP loopback expose the same [`LinkSample`]s). Zero-activity links
+/// are elided to keep the table proportional to the traffic, not to n².
+fn per_link_table(samples: &[LinkSample]) -> String {
     let mut out = String::from("per-link counters (drops full/transit/reorder, in transit):\n");
     let mut shown = 0;
     for s in samples {
@@ -548,7 +1236,7 @@ fn per_link_table(samples: &[snapstab_runtime::LinkSample]) -> String {
 /// The transport's aggregate link counters, printed in every `live`
 /// report so degradation (drop-on-full, in-transit loss, UDP reorder,
 /// chaos drops) is visible without reading the trace.
-fn link_counters_line(links: &snapstab_runtime::LinkStats) -> String {
+fn link_counters_line(links: &LinkStats) -> String {
     format!(
         "link counters: {} sends, {} enqueued, {} delivered; lost: {} full, \
          {} in transit, {} reorder\n",
@@ -561,23 +1249,22 @@ fn link_counters_line(links: &snapstab_runtime::LinkStats) -> String {
     )
 }
 
-/// The chaos summary and recovery quantiles of a run's
-/// [`ChaosReport`](snapstab_runtime::ChaosReport).
 /// The mux pool's scheduling counters: how many deliveries a quantum
-/// batches and how many `Condvar` notifies (futex syscalls) a served
-/// request cost.
-fn mux_scheduling_line(stats: &snapstab_runtime::LiveStats, served: u64) -> String {
+/// batches and how many `Condvar` notifies (futex syscalls) a completed
+/// request or payload cost.
+fn mux_scheduling_line(stats: &LiveStats, completed: u64) -> String {
     format!(
         "mux scheduling: {} quanta, {:.2} deliveries per quantum; {} wake-up \
          syscall(s), {:.2} per served request\n",
         stats.quanta,
         stats.deliveries as f64 / stats.quanta.max(1) as f64,
         stats.wakeups,
-        stats.wakeups as f64 / served.max(1) as f64,
+        stats.wakeups as f64 / completed.max(1) as f64,
     )
 }
 
-fn chaos_summary(mix: snapstab_runtime::ChaosMix, c: &snapstab_runtime::ChaosReport) -> String {
+/// The chaos summary and recovery quantiles of a run's [`ChaosReport`].
+fn chaos_summary(mix: ChaosMix, c: &ChaosReport) -> String {
     let mut out = format!(
         "chaos ({} profile): {} burst(s) — {} corruption(s), {} crash(es), \
          {} partition(s), {} storm(s); {} message(s) destroyed; \
@@ -594,1048 +1281,18 @@ fn chaos_summary(mix: snapstab_runtime::ChaosMix, c: &snapstab_runtime::ChaosRep
     if let (Some(p50), Some(p99)) = (c.recovery_quantile(0.5), c.recovery_quantile(0.99)) {
         out.push_str(&format!(
             "recovery time (burst to next completion): p50 {:.2} / p99 {:.2} ms\n",
-            p50.as_secs_f64() * 1e3,
-            p99.as_secs_f64() * 1e3,
+            ms(p50),
+            ms(p99),
         ));
     }
     out
 }
 
-/// The `--transport` backend of a `live` run. An enum rather than a boxed
-/// [`Transport`](snapstab_runtime::Transport), because the report reads
-/// the UDP backend's frame counters after the run.
-enum Backend {
-    InMem(snapstab_runtime::InMemory),
-    Udp(snapstab_net::UdpLoopback),
-}
-
-impl Backend {
-    fn transport<M: snapstab_net::Wire + Send + 'static>(
-        &self,
-    ) -> &dyn snapstab_runtime::Transport<M> {
-        match self {
-            Backend::InMem(t) => t,
-            Backend::Udp(t) => t,
-        }
-    }
-
-    /// The UDP transport's frame counters — how many records shared a
-    /// `send_to`, and every way a frame or record was lost outside the
-    /// link counters. Empty for the in-memory transport.
-    fn framing_line(&self) -> String {
-        let Backend::Udp(udp) = self else {
-            return String::new();
-        };
-        let f = udp.frame_stats();
-        format!(
-            "udp framing: {} frame(s) sent carrying {} record(s), {:.2} records per \
-             frame, largest {} bytes; {} received; errors: {} refused frame(s), \
-             {} rejected record(s), {} foreign frame(s)\n",
-            f.frames_sent,
-            f.records_sent,
-            f.records_sent as f64 / f.frames_sent.max(1) as f64,
-            f.max_frame_bytes,
-            f.frames_received,
-            f.send_errors,
-            f.records_rejected,
-            f.frames_foreign,
-        )
-    }
-}
-
-/// Resolves `--transport` to a backend object, or an exit-2 usage error
-/// (matching the unknown-subcommand convention).
-fn parse_transport(name: &str) -> Result<Backend, (String, i32)> {
-    match name {
-        "inmem" => Ok(Backend::InMem(snapstab_runtime::InMemory)),
-        "udp" => Ok(Backend::Udp(snapstab_net::UdpLoopback::new())),
-        other => Err((
-            format!(
-                "unknown --transport `{other}`: valid values are {}\n\n{USAGE}",
-                TRANSPORTS.join(", ")
-            ),
-            2,
-        )),
-    }
-}
-
-pub fn cmd_live(args: &Args) -> (String, i32) {
-    use snapstab_runtime::{LiveConfig, MutexServiceConfig};
-    match parse_app(&args.get_or("app", "mutex".to_string())) {
-        Ok("forward") => return cmd_live_forward(args),
-        Ok(_) => {}
-        Err(err) => return err,
-    }
-    let LiveFlags {
-        n,
-        seed,
-        loss,
-        jitter_ms,
-        requests,
-        cs_duration,
-        budget_secs,
-        check,
-        shards,
-        batch,
-        queue_depth,
-        transport,
-        runtime,
-        workers,
-    } = LiveFlags::parse(args);
-    let mux = match parse_runtime(&runtime, workers) {
-        Ok(m) => m,
-        Err(err) => return err,
-    };
-    let chaos = match parse_chaos(args) {
-        Ok(c) => c,
-        Err(err) => return err,
-    };
-    let monitor = match parse_monitor(args, n) {
-        Ok(m) => m,
-        Err(err) => return err,
-    };
-    let metrics_out = match parse_metrics_out(args) {
-        Ok(m) => m,
-        Err(err) => return err,
-    };
-    // --queue-depth sizes per-shard client queues, so (like --shards and
-    // --batch) it selects the sharded service — a 1-shard, batch-1
-    // sharded run degenerates to the plain service, and the flag is
-    // never silently ignored.
-    if shards > 1 || batch > 1 || queue_depth > 0 {
-        if chaos.is_some() {
-            return (
-                format!(
-                    "--chaos is not supported with the sharded service \
-                     (--shards/--batch/--queue-depth)\n\n{USAGE}"
-                ),
-                2,
-            );
-        }
-        if monitor.is_some() {
-            return (
-                format!(
-                    "--monitor is not supported with the sharded service \
-                     (--shards/--batch/--queue-depth)\n\n{USAGE}"
-                ),
-                2,
-            );
-        }
-        if mux {
-            return (
-                format!(
-                    "--runtime mux is not supported with the sharded service \
-                     (--shards/--batch/--queue-depth)\n\n{USAGE}"
-                ),
-                2,
-            );
-        }
-        return cmd_live_sharded(args);
-    }
-    if let Some(mon) = monitor {
-        let mux_workers = mux.then_some(workers);
-        return cmd_live_monitored_mutex(args, &mon, chaos, mux_workers, metrics_out);
-    }
-    let backend = match parse_transport(&transport) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-
-    let cfg = MutexServiceConfig {
-        n,
-        requests_per_process: requests,
-        cs_duration,
-        live: LiveConfig {
-            loss,
-            seed,
-            jitter: jitter(jitter_ms),
-            // --chaos implies recording: the epoch verdicts need the
-            // merged trace.
-            record_trace: check || chaos.is_some(),
-            ..LiveConfig::default()
-        },
-        time_budget: std::time::Duration::from_secs(budget_secs),
-    };
-    let runtime_desc = if mux {
-        format!("n={n} instances on {workers} mux worker(s)")
-    } else {
-        format!("n={n} worker threads")
-    };
-    let mut out = format!(
-        "Live mutex service: {runtime_desc} ({transport} transport), \
-         loss={loss}, {requests} request(s) per process, budget {budget_secs}s\n"
-    );
-    let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
-    let (report, chaos_report) = match (&plan, mux) {
-        (Some(p), false) => {
-            match snapstab_runtime::run_mutex_service_chaos_on(&cfg, backend.transport(), p) {
-                Ok((report, c)) => (report, Some(c)),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-        (Some(p), true) => {
-            match snapstab_runtime::run_mutex_service_chaos_mux_on(
-                &cfg,
-                workers,
-                backend.transport(),
-                p,
-            ) {
-                Ok((report, c)) => (report, Some(c)),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-        (None, false) => match snapstab_runtime::run_mutex_service_on(&cfg, backend.transport()) {
-            Ok(report) => (report, None),
-            Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-        },
-        (None, true) => {
-            match snapstab_runtime::run_mutex_service_mux_on(&cfg, workers, backend.transport()) {
-                Ok(report) => (report, None),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-    };
-    // Compare against the *requested* total, not `report.injected`: the
-    // drivers inject lazily, so a budget-capped run has injected ≈ served
-    // and would otherwise read (and exit) as complete.
-    let total = requests * n as u64;
-    out.push_str(&format!(
-        "served {}/{} requests in {:.2}s: {:.0} req/s, {:.0} CS/s, {:.0} msgs/s\n",
-        report.served,
-        total,
-        report.wall.as_secs_f64(),
-        report.requests_per_sec(),
-        report.cs_per_sec(),
-        report.msgs_per_sec(),
-    ));
-    out.push_str(&link_counters_line(&report.stats.links));
-    if mux {
-        out.push_str(&mux_scheduling_line(&report.stats, report.served));
-    }
-    out.push_str(&backend.framing_line());
-    out.push_str(&per_link_table(&report.link_samples));
-    if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
-        out.push_str(&chaos_summary(mix, c));
-    }
-    if let Some((min, mean, max)) = report.latency_min_mean_max() {
-        out.push_str(&format!(
-            "service latency: min {:.2} / mean {:.2} / max {:.2} ms\n",
-            min.as_secs_f64() * 1e3,
-            mean.as_secs_f64() * 1e3,
-            max.as_secs_f64() * 1e3,
-        ));
-    }
-    let mut failed = report.served < total;
-    if let Some(trace) = &report.trace {
-        if let Some(c) = &chaos_report {
-            let epochs = snapstab_core::spec::analyze_me_epochs(trace, n, &c.fault_steps);
-            out.push_str(&format!(
-                "spec 3 per epoch: {} epoch(s), {} served, {} interrupted at \
-                 fault boundaries, {} forged fault mark(s); holds: {}\n",
-                epochs.epochs_checked(),
-                epochs.served_total(),
-                epochs.interrupted_total(),
-                epochs.forged_marks.len(),
-                epochs.holds(),
-            ));
-            failed |= !epochs.holds();
-        } else {
-            let spec = analyze_me_trace(trace, n);
-            out.push_str(&format!(
-                "spec 3 on the merged live trace: genuine CS overlaps: {}; \
-                 spurious: {}; exclusivity holds: {}\n",
-                spec.genuine_overlaps.len(),
-                spec.spurious_overlaps.len(),
-                spec.exclusivity_holds(),
-            ));
-            failed |= !spec.exclusivity_holds();
-        }
-    }
-    if args.has("trace") {
-        for (i, lat) in report.latencies.iter().take(20).enumerate() {
-            out.push_str(&format!(
-                "  request {i}: {:.2} ms\n",
-                lat.as_secs_f64() * 1e3
-            ));
-        }
-    }
-    (out, i32::from(failed))
-}
-
-/// Renders the streamed per-cut summary lines (bounded) into the report.
-fn cut_summary_lines(out: &mut String, cut_lines: &[String]) {
-    const SHOWN: usize = 20;
-    for line in cut_lines.iter().take(SHOWN) {
-        out.push_str(line);
-    }
-    if cut_lines.len() > SHOWN {
-        out.push_str(&format!(
-            "  ... {} more cut(s) elided\n",
-            cut_lines.len() - SHOWN
-        ));
-    }
-}
-
-/// The Specification 5 verdict line for a monitored run's merged trace.
-fn spec5_line(spec: &snapstab_core::spec::SnapshotReport) -> String {
-    format!(
-        "spec 5 on the merged trace: {} cut(s) decided ({} clean, {} \
-         interrupted at faults), {} refused, {} pending; fabricated: {}, \
-         torn: {}, crashed values: {}, causal violations: {}; holds: {}\n",
-        spec.cuts_decided(),
-        spec.clean_cuts(),
-        spec.interrupted_total(),
-        spec.refused.len(),
-        spec.pending.len(),
-        spec.fabricated.len(),
-        spec.torn.len(),
-        spec.crashed_values.len(),
-        spec.causal_violations.len(),
-        spec.holds(),
-    )
-}
-
-/// The final machine-readable metrics block of a monitored run — the
-/// same schema-stable summary line the telemetry stream ends with
-/// (`snapstab_runtime::summary_json_line`), so the ad-hoc CLI block and
-/// `--metrics-out` cannot drift apart.
-fn monitor_metrics_json(
-    mon: &snapstab_runtime::MonitorConfig,
-    m: &snapstab_runtime::MonitorReport,
-    work_per_sec: f64,
-) -> String {
-    format!(
-        "monitor metrics: {}\n",
-        snapstab_runtime::summary_json_line(mon.interval, m, work_per_sec)
-    )
-}
-
-/// Renders the alerts a monitored run raised (bounded), matching the
-/// `alert:` marks recorded in the merged trace.
-fn alert_lines(out: &mut String, alerts: &[snapstab_runtime::Alert]) {
-    if alerts.is_empty() {
-        return;
-    }
-    const SHOWN: usize = 10;
-    out.push_str(&format!("alerts: {} raised\n", alerts.len()));
-    for a in alerts.iter().take(SHOWN) {
-        out.push_str(&format!("  {}\n", a.mark()));
-    }
-    if alerts.len() > SHOWN {
-        out.push_str(&format!(
-            "  ... {} more alert(s) elided\n",
-            alerts.len() - SHOWN
-        ));
-    }
-}
-
-/// Describes the runtime a monitored service runs on (header line).
-fn monitored_runtime_desc(n: usize, mux_workers: Option<usize>) -> String {
-    match mux_workers {
-        Some(w) => format!("n={n} instances on {w} mux worker(s)"),
-        None => format!("n={n} worker threads"),
-    }
-}
-
-/// The monitored variant of the mutex `live` subcommand (`--monitor`):
-/// the mutual-exclusion service composed with a snap-stabilizing
-/// snapshot monitor on the same transport. Streams one summary line per
-/// decided cut, appends a JSON metrics block, and — when the trace is
-/// recorded — judges the cuts by Specification 5 and the projected
-/// service trace by Specification 3 (per fault epoch under `--chaos`).
-fn cmd_live_monitored_mutex(
-    args: &Args,
-    mon: &snapstab_runtime::MonitorConfig,
-    chaos: Option<snapstab_runtime::ChaosMix>,
-    mux_workers: Option<usize>,
-    metrics_out: Option<MetricsOut>,
-) -> (String, i32) {
-    use snapstab_core::spec::analyze_snapshot_trace;
-    use snapstab_runtime::{LiveConfig, MutexServiceConfig};
-    let LiveFlags {
-        n,
-        seed,
-        loss,
-        jitter_ms,
-        requests,
-        cs_duration,
-        budget_secs,
-        check,
-        transport,
-        ..
-    } = LiveFlags::parse(args);
-    let backend = match parse_transport(&transport) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let cfg = MutexServiceConfig {
-        n,
-        requests_per_process: requests,
-        cs_duration,
-        live: LiveConfig {
-            loss,
-            seed,
-            jitter: jitter(jitter_ms),
-            record_trace: check || chaos.is_some(),
-            ..LiveConfig::default()
-        },
-        time_budget: std::time::Duration::from_secs(budget_secs),
-    };
-    let mut out = format!(
-        "Live monitored mutex service: {} ({transport} transport), \
-         loss={loss}, {requests} request(s) per process, {} initiator(s), \
-         cut interval {}ms, budget {budget_secs}s\n",
-        monitored_runtime_desc(n, mux_workers),
-        mon.initiators,
-        mon.interval.as_millis(),
-    );
-    let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
-    let mut cut_lines: Vec<String> = Vec::new();
-    let mut series = snapstab_runtime::Series::default();
-    let mut metrics_lines: Vec<String> = Vec::new();
-    let mut on_cut = |cut: &snapstab_runtime::LiveCut| {
-        cut_lines.push(format!(
-            "  cut #{} (initiator {}) @step {}: served {}, queued {}, \
-             {} in transit, staleness {:.2} ms\n",
-            cut.cut,
-            cut.initiator.index(),
-            cut.step,
-            cut.served_total(),
-            cut.queue_total(),
-            cut.in_transit_total(),
-            cut.staleness.as_secs_f64() * 1e3,
-        ));
-        metrics_lines.push(series.observe(cut).json_line());
-    };
-    let run = match mux_workers {
-        Some(workers) => snapstab_runtime::run_monitored_mutex_service_mux_with(
-            &cfg,
-            mon,
-            workers,
-            backend.transport(),
-            plan.as_ref(),
-            Some(&mut on_cut),
-        ),
-        None => snapstab_runtime::run_monitored_mutex_service_with(
-            &cfg,
-            mon,
-            backend.transport(),
-            plan.as_ref(),
-            Some(&mut on_cut),
-        ),
-    };
-    let (report, chaos_report) = match run {
-        Ok(r) => r,
-        Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-    };
-    let total = requests * n as u64;
-    out.push_str(&format!(
-        "served {}/{} requests in {:.2}s: {:.0} req/s; {} cut(s) decided \
-         ({:.1} cuts/s), {} refused\n",
-        report.served,
-        total,
-        report.wall.as_secs_f64(),
-        report.requests_per_sec(),
-        report.monitor.cuts.len(),
-        report.monitor.cuts_per_sec(),
-        report.monitor.refused,
-    ));
-    cut_summary_lines(&mut out, &cut_lines);
-    if mon.initiators > 1 {
-        for s in report.monitor.per_initiator() {
-            out.push_str(&format!(
-                "  initiator {}: {} cut(s) ({:.1} cuts/s), {} refused\n",
-                s.initiator.index(),
-                s.cuts,
-                report.monitor.cuts_per_sec_of(s.initiator),
-                s.refused,
-            ));
-        }
-    }
-    alert_lines(&mut out, &report.monitor.alerts);
-    out.push_str(&link_counters_line(&report.stats.links));
-    if mux_workers.is_some() {
-        out.push_str(&mux_scheduling_line(&report.stats, report.served));
-    }
-    out.push_str(&backend.framing_line());
-    out.push_str(&per_link_table(&report.link_samples));
-    if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
-        out.push_str(&chaos_summary(mix, c));
-    }
-    if let Some([p50, p99]) = report
-        .latency_quantiles(&[0.5, 0.99])
-        .map(|v| <[_; 2]>::try_from(v).expect("two quantiles"))
-    {
-        out.push_str(&format!(
-            "service latency: p50 {:.2} / p99 {:.2} ms\n",
-            p50.as_secs_f64() * 1e3,
-            p99.as_secs_f64() * 1e3,
-        ));
-    }
-    let mut failed = report.served < total;
-    if let Some(trace) = &report.trace {
-        let faults: Vec<u64> = chaos_report
-            .as_ref()
-            .map(|c| c.fault_steps.clone())
-            .unwrap_or_default();
-        let spec5 = analyze_snapshot_trace(trace, n, &faults);
-        out.push_str(&spec5_line(&spec5));
-        failed |= !spec5.holds();
-        let service = snapstab_runtime::project_service_trace(trace);
-        if let Some(c) = &chaos_report {
-            let epochs = snapstab_core::spec::analyze_me_epochs(&service, n, &c.fault_steps);
-            out.push_str(&format!(
-                "spec 3 per epoch (projected service trace): {} epoch(s), \
-                 {} served, {} interrupted; holds: {}\n",
-                epochs.epochs_checked(),
-                epochs.served_total(),
-                epochs.interrupted_total(),
-                epochs.holds(),
-            ));
-            failed |= !epochs.holds();
-        } else {
-            let spec = analyze_me_trace(&service, n);
-            out.push_str(&format!(
-                "spec 3 on the projected service trace: genuine CS overlaps: \
-                 {}; exclusivity holds: {}\n",
-                spec.genuine_overlaps.len(),
-                spec.exclusivity_holds(),
-            ));
-            failed |= !spec.exclusivity_holds();
-        }
-    }
-    if let Some(target) = &metrics_out {
-        for a in &report.monitor.alerts {
-            metrics_lines.push(a.json_line());
-        }
-        metrics_lines.push(snapstab_runtime::summary_json_line(
-            mon.interval,
-            &report.monitor,
-            report.requests_per_sec(),
-        ));
-        failed |= deliver_metrics(&mut out, target, &metrics_lines).is_some();
-    }
-    out.push_str(&monitor_metrics_json(
-        mon,
-        &report.monitor,
-        report.requests_per_sec(),
-    ));
-    (out, i32::from(failed))
-}
-
-/// The monitored variant of the forwarding `live` subcommand
-/// (`--app forward --monitor`), mirroring [`cmd_live_monitored_mutex`]
-/// with Specification 4 judging the projected service trace.
-fn cmd_live_monitored_forward(
-    args: &Args,
-    mon: &snapstab_runtime::MonitorConfig,
-    chaos: Option<snapstab_runtime::ChaosMix>,
-    mux_workers: Option<usize>,
-    metrics_out: Option<MetricsOut>,
-) -> (String, i32) {
-    use snapstab_core::spec::analyze_snapshot_trace;
-    use snapstab_runtime::{ForwardingServiceConfig, LiveConfig};
-    let LiveFlags {
-        n,
-        seed,
-        loss,
-        jitter_ms,
-        requests: payloads,
-        budget_secs,
-        check,
-        transport,
-        ..
-    } = LiveFlags::parse(args);
-    let buffer_cap: usize = args.get_or("buffer", 4);
-    if buffer_cap == 0 {
-        return (
-            format!("invalid --buffer 0: lanes need at least one slot\n\n{USAGE}"),
-            2,
-        );
-    }
-    let stale = args.has("stale");
-    let backend = match parse_transport(&transport) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let cfg = ForwardingServiceConfig {
-        n,
-        payloads_per_process: payloads,
-        buffer_cap,
-        prefill_stale: stale,
-        live: LiveConfig {
-            loss,
-            seed,
-            jitter: jitter(jitter_ms),
-            record_trace: check || chaos.is_some(),
-            ..LiveConfig::default()
-        },
-        time_budget: std::time::Duration::from_secs(budget_secs),
-    };
-    let mut out = format!(
-        "Live monitored forwarding service: {} ({transport} \
-         transport), loss={loss}, {payloads} payload(s) per process, {} \
-         initiator(s), cut interval {}ms, budget {budget_secs}s\n",
-        monitored_runtime_desc(n, mux_workers),
-        mon.initiators,
-        mon.interval.as_millis(),
-    );
-    let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
-    let mut cut_lines: Vec<String> = Vec::new();
-    let mut series = snapstab_runtime::Series::default();
-    let mut metrics_lines: Vec<String> = Vec::new();
-    let mut on_cut = |cut: &snapstab_runtime::LiveCut| {
-        cut_lines.push(format!(
-            "  cut #{} (initiator {}) @step {}: collected {}, queued {}, \
-             buffered {}, {} in transit, staleness {:.2} ms\n",
-            cut.cut,
-            cut.initiator.index(),
-            cut.step,
-            cut.served_total(),
-            cut.queue_total(),
-            cut.values
-                .iter()
-                .map(|v| u64::from(v.in_flight))
-                .sum::<u64>(),
-            cut.in_transit_total(),
-            cut.staleness.as_secs_f64() * 1e3,
-        ));
-        metrics_lines.push(series.observe(cut).json_line());
-    };
-    let run = match mux_workers {
-        Some(workers) => snapstab_runtime::run_monitored_forwarding_service_mux_with(
-            &cfg,
-            mon,
-            workers,
-            backend.transport(),
-            plan.as_ref(),
-            Some(&mut on_cut),
-        ),
-        None => snapstab_runtime::run_monitored_forwarding_service_with(
-            &cfg,
-            mon,
-            backend.transport(),
-            plan.as_ref(),
-            Some(&mut on_cut),
-        ),
-    };
-    let (report, chaos_report) = match run {
-        Ok(r) => r,
-        Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-    };
-    let total = payloads * n as u64;
-    out.push_str(&format!(
-        "delivered {}/{} payloads in {:.2}s: {:.0} payloads/s, {} spurious \
-         stale flush(es); {} cut(s) decided ({:.1} cuts/s), {} refused\n",
-        report.delivered,
-        total,
-        report.wall.as_secs_f64(),
-        report.payloads_per_sec(),
-        report.spurious,
-        report.monitor.cuts.len(),
-        report.monitor.cuts_per_sec(),
-        report.monitor.refused,
-    ));
-    cut_summary_lines(&mut out, &cut_lines);
-    if mon.initiators > 1 {
-        for s in report.monitor.per_initiator() {
-            out.push_str(&format!(
-                "  initiator {}: {} cut(s) ({:.1} cuts/s), {} refused\n",
-                s.initiator.index(),
-                s.cuts,
-                report.monitor.cuts_per_sec_of(s.initiator),
-                s.refused,
-            ));
-        }
-    }
-    alert_lines(&mut out, &report.monitor.alerts);
-    out.push_str(&link_counters_line(&report.stats.links));
-    if mux_workers.is_some() {
-        out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
-    }
-    out.push_str(&backend.framing_line());
-    out.push_str(&per_link_table(&report.link_samples));
-    if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
-        out.push_str(&chaos_summary(mix, c));
-    }
-    // Chaos may destroy in-flight payloads; the epoch verdict is then the
-    // pass/fail signal (matching the unmonitored forwarding path).
-    let mut failed = chaos_report.is_none() && report.delivered < total;
-    if let Some(trace) = &report.trace {
-        let faults: Vec<u64> = chaos_report
-            .as_ref()
-            .map(|c| c.fault_steps.clone())
-            .unwrap_or_default();
-        let spec5 = analyze_snapshot_trace(trace, n, &faults);
-        out.push_str(&spec5_line(&spec5));
-        failed |= !spec5.holds();
-        let service = snapstab_runtime::project_service_trace(trace);
-        if let Some(c) = &chaos_report {
-            let epochs =
-                snapstab_core::spec::analyze_forwarding_epochs(&service, n, &c.fault_steps);
-            out.push_str(&format!(
-                "spec 4 per epoch (projected service trace): {} epoch(s), \
-                 {} delivered, {} interrupted; holds: {}\n",
-                epochs.epochs_checked(),
-                epochs.delivered_total(),
-                epochs.interrupted_total(),
-                epochs.holds(),
-            ));
-            failed |= !epochs.holds();
-        } else {
-            let spec = snapstab_core::spec::analyze_forwarding_trace(&service, n);
-            out.push_str(&format!(
-                "spec 4 on the projected service trace: lost: {}; duplicated \
-                 ids: {}; corrupt deliveries: {}; holds: {}\n",
-                spec.lost.len(),
-                spec.duplicate_ids.len(),
-                spec.corrupt_deliveries.len(),
-                spec.holds(),
-            ));
-            failed |= !spec.holds();
-        }
-    }
-    if let Some(target) = &metrics_out {
-        for a in &report.monitor.alerts {
-            metrics_lines.push(a.json_line());
-        }
-        metrics_lines.push(snapstab_runtime::summary_json_line(
-            mon.interval,
-            &report.monitor,
-            report.payloads_per_sec(),
-        ));
-        failed |= deliver_metrics(&mut out, target, &metrics_lines).is_some();
-    }
-    out.push_str(&monitor_metrics_json(
-        mon,
-        &report.monitor,
-        report.payloads_per_sec(),
-    ));
-    (out, i32::from(failed))
-}
-
-/// The sharded variant of the `live` subcommand: S independent leaders
-/// over hash-partitioned resource keys, batched grants, grant-log audit —
-/// and, under `--check`, per-shard Specification 3 on the merged trace.
-fn cmd_live_sharded(args: &Args) -> (String, i32) {
-    use snapstab_core::shard::project_shard_trace;
-    use snapstab_runtime::{LiveConfig, ShardedServiceConfig};
-    let LiveFlags {
-        n,
-        seed,
-        loss,
-        jitter_ms,
-        requests,
-        cs_duration,
-        budget_secs,
-        check,
-        shards,
-        batch,
-        queue_depth,
-        transport,
-        ..
-    } = LiveFlags::parse(args);
-    let key_space: u64 = args.get_or("key-space", 1 << 16);
-    let backend = match parse_transport(&transport) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-
-    let cfg = ShardedServiceConfig {
-        n,
-        shards,
-        batch,
-        requests_per_process: requests,
-        key_space,
-        cs_duration,
-        live: LiveConfig {
-            loss,
-            seed,
-            jitter: jitter(jitter_ms),
-            record_trace: check,
-            ..LiveConfig::default()
-        },
-        time_budget: std::time::Duration::from_secs(budget_secs),
-    };
-    // --queue-depth D sizes the workload by target per-shard queue depth
-    // instead of --requests.
-    let cfg = if queue_depth > 0 {
-        cfg.with_queue_depth(queue_depth)
-    } else {
-        cfg
-    };
-    let workload = if queue_depth > 0 {
-        format!("queue depth {queue_depth} per shard")
-    } else {
-        format!("{requests} request(s) per process")
-    };
-    let mut out = format!(
-        "Live sharded mutex service: n={n} worker threads ({transport} \
-         transport), {shards} shard(s) (one leader each), batch≤{batch}, \
-         loss={loss}, {workload}, budget {budget_secs}s\n"
-    );
-    let report = match snapstab_runtime::run_sharded_service_on(&cfg, backend.transport()) {
-        Ok(report) => report,
-        Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-    };
-    out.push_str(&format!(
-        "served {}/{} requests in {:.2}s: {:.0} req/s over {} grants \
-         ({:.0} grants/s, {:.2} requests per grant), {:.0} msgs/s\n",
-        report.served,
-        report.injected.len(),
-        report.wall.as_secs_f64(),
-        report.requests_per_sec(),
-        report.grant_log.len(),
-        report.grants_per_sec(),
-        report.mean_batch(),
-        report.msgs_per_sec(),
-    ));
-    out.push_str(&link_counters_line(&report.stats.links));
-    out.push_str(&backend.framing_line());
-    for (s, served) in report.per_shard_served.iter().enumerate() {
-        out.push_str(&format!("  shard {s}: {served} request(s) served\n"));
-    }
-    if let (Some((min, mean, max)), Some([p50, p99])) = (
-        report.latency_min_mean_max(),
-        report
-            .latency_quantiles(&[0.5, 0.99])
-            .map(|v| <[_; 2]>::try_from(v).expect("two quantiles")),
-    ) {
-        out.push_str(&format!(
-            "service latency: min {:.2} / mean {:.2} / p50 {:.2} / p99 {:.2} / max {:.2} ms\n",
-            min.as_secs_f64() * 1e3,
-            mean.as_secs_f64() * 1e3,
-            p50.as_secs_f64() * 1e3,
-            p99.as_secs_f64() * 1e3,
-            max.as_secs_f64() * 1e3,
-        ));
-    }
-    let audit = report.audit();
-    out.push_str(&format!(
-        "grant-log audit: conflict-free batches: {}; routing respected: {}; \
-         served exactly once: {}\n",
-        audit.conflicting_grants.is_empty(),
-        audit.misrouted_grants.is_empty(),
-        audit.unserved_ids.is_empty()
-            && audit.duplicate_ids.is_empty()
-            && audit.unknown_ids.is_empty(),
-    ));
-    let mut failed = (report.served as usize) < report.injected.len() || !audit.holds();
-    if let Some(trace) = &report.trace {
-        for s in 0..shards {
-            let spec = analyze_me_trace(&project_shard_trace(trace, s), n);
-            out.push_str(&format!(
-                "spec 3 on shard {s}'s projected trace: genuine CS overlaps: {}; \
-                 exclusivity holds: {}\n",
-                spec.genuine_overlaps.len(),
-                spec.exclusivity_holds(),
-            ));
-            failed |= !spec.exclusivity_holds();
-        }
-    }
-    (out, i32::from(failed))
-}
-
-/// The forwarding variant of the `live` subcommand
-/// (`--app forward`): the snap-stabilizing message-forwarding service —
-/// payload delivery under loss and (with `--stale`) adversarially
-/// pre-filled buffers — judged, under `--check`, by executable
-/// Specification 4 on the merged trace.
-fn cmd_live_forward(args: &Args) -> (String, i32) {
-    use snapstab_core::spec::analyze_forwarding_trace;
-    use snapstab_runtime::{ForwardingServiceConfig, LiveConfig};
-    // The shared flags come from the same parse as the mutex variants,
-    // so their defaults cannot diverge; `--requests` doubles as the
-    // per-process payload count.
-    let LiveFlags {
-        n,
-        seed,
-        loss,
-        jitter_ms,
-        requests: payloads,
-        budget_secs,
-        check,
-        transport,
-        runtime,
-        workers,
-        ..
-    } = LiveFlags::parse(args);
-    let mux = match parse_runtime(&runtime, workers) {
-        Ok(m) => m,
-        Err(err) => return err,
-    };
-    let buffer_cap: usize = args.get_or("buffer", 4);
-    if buffer_cap == 0 {
-        return (
-            format!("invalid --buffer 0: lanes need at least one slot\n\n{USAGE}"),
-            2,
-        );
-    }
-    let stale = args.has("stale");
-    let chaos = match parse_chaos(args) {
-        Ok(c) => c,
-        Err(err) => return err,
-    };
-    match parse_monitor(args, n) {
-        Ok(Some(mon)) => {
-            let metrics_out = match parse_metrics_out(args) {
-                Ok(m) => m,
-                Err(err) => return err,
-            };
-            let mux_workers = mux.then_some(workers);
-            return cmd_live_monitored_forward(args, &mon, chaos, mux_workers, metrics_out);
-        }
-        Ok(None) => {}
-        Err(err) => return err,
-    }
-    let backend = match parse_transport(&transport) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-
-    let cfg = ForwardingServiceConfig {
-        n,
-        payloads_per_process: payloads,
-        buffer_cap,
-        prefill_stale: stale,
-        live: LiveConfig {
-            loss,
-            seed,
-            jitter: jitter(jitter_ms),
-            // --chaos implies recording: the epoch verdicts need the
-            // merged trace.
-            record_trace: check || chaos.is_some(),
-            ..LiveConfig::default()
-        },
-        time_budget: std::time::Duration::from_secs(budget_secs),
-    };
-    let runtime_desc = if mux {
-        format!("n={n} instances on {workers} mux worker(s)")
-    } else {
-        format!("n={n} worker threads")
-    };
-    let mut out = format!(
-        "Live forwarding service: {runtime_desc} ({transport} transport), \
-         loss={loss}, {payloads} payload(s) per process, buffer cap {buffer_cap}\
-         {}, budget {budget_secs}s\n",
-        if stale {
-            ", stale-pre-filled buffers"
-        } else {
-            ""
-        }
-    );
-    let plan = chaos.map(|mix| snapstab_runtime::ChaosPlan::profile(mix, seed));
-    let (report, chaos_report) = match (&plan, mux) {
-        (Some(p), false) => {
-            match snapstab_runtime::run_forwarding_service_chaos_on(&cfg, backend.transport(), p) {
-                Ok((report, c)) => (report, Some(c)),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-        (Some(p), true) => match snapstab_runtime::run_forwarding_service_chaos_mux_on(
-            &cfg,
-            workers,
-            backend.transport(),
-            p,
-        ) {
-            Ok((report, c)) => (report, Some(c)),
-            Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-        },
-        (None, false) => {
-            match snapstab_runtime::run_forwarding_service_on(&cfg, backend.transport()) {
-                Ok(report) => (report, None),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-        (None, true) => {
-            match snapstab_runtime::run_forwarding_service_mux_on(
-                &cfg,
-                workers,
-                backend.transport(),
-            ) {
-                Ok(report) => (report, None),
-                Err(e) => return (format!("{out}transport setup failed: {e}\n"), 1),
-            }
-        }
-    };
-    let total = payloads * n as u64;
-    out.push_str(&format!(
-        "delivered {}/{} payloads in {:.2}s: {:.0} payloads/s, {:.0} msgs/s, \
-         {} spurious stale flush(es)\n",
-        report.delivered,
-        total,
-        report.wall.as_secs_f64(),
-        report.payloads_per_sec(),
-        report.msgs_per_sec(),
-        report.spurious,
-    ));
-    out.push_str(&link_counters_line(&report.stats.links));
-    if mux {
-        out.push_str(&mux_scheduling_line(&report.stats, report.delivered));
-    }
-    out.push_str(&backend.framing_line());
-    out.push_str(&per_link_table(&report.link_samples));
-    if let (Some(mix), Some(c)) = (chaos, &chaos_report) {
-        out.push_str(&chaos_summary(mix, c));
-    }
-    if let Some((min, mean, max)) = report.latency_min_mean_max() {
-        out.push_str(&format!(
-            "end-to-end latency: min {:.2} / mean {:.2} / max {:.2} ms\n",
-            min.as_secs_f64() * 1e3,
-            mean.as_secs_f64() * 1e3,
-            max.as_secs_f64() * 1e3,
-        ));
-    }
-    // Under chaos, state corruption may destroy payloads in flight
-    // through protocol buffers; the epoch verdict (which classifies them
-    // as interrupted at a fault boundary) is the pass/fail signal, not
-    // the raw delivery count.
-    let mut failed = chaos_report.is_none() && report.delivered < total;
-    if let Some(trace) = &report.trace {
-        if let Some(c) = &chaos_report {
-            let epochs = snapstab_core::spec::analyze_forwarding_epochs(trace, n, &c.fault_steps);
-            out.push_str(&format!(
-                "spec 4 per epoch: {} epoch(s), {} delivered, {} interrupted at \
-                 fault boundaries, {} epoch-crossing, {} forged fault mark(s); \
-                 holds: {}\n",
-                epochs.epochs_checked(),
-                epochs.delivered_total(),
-                epochs.interrupted_total(),
-                epochs.crossing.len(),
-                epochs.forged_marks.len(),
-                epochs.holds(),
-            ));
-            failed |= !epochs.holds();
-        } else {
-            let spec = analyze_forwarding_trace(trace, n);
-            out.push_str(&format!(
-                "spec 4 on the merged live trace: lost: {}; duplicated ids: {}; \
-                 corrupt deliveries: {}; spurious: {}; holds: {}\n",
-                spec.lost.len(),
-                spec.duplicate_ids.len(),
-                spec.corrupt_deliveries.len(),
-                spec.spurious,
-                spec.holds(),
-            ));
-            failed |= !spec.holds();
-        }
-    }
-    if args.has("trace") {
-        for (i, lat) in report.latencies.iter().take(20).enumerate() {
-            out.push_str(&format!(
-                "  payload {i}: {:.2} ms\n",
-                lat.as_secs_f64() * 1e3
-            ));
-        }
-    }
-    (out, i32::from(failed))
-}
-
 /// Runs the `impossibility` subcommand; returns the report text.
-pub fn cmd_impossibility(args: &Args) -> String {
-    let n: usize = args.get_or("n", 3);
-    let seed: u64 = args.get_or("seed", 0xD0);
-    let cs_duration: u64 = args.get_or("cs-duration", 8);
+pub fn cmd_impossibility(args: &Args) -> Result<String, Outcome> {
+    let n: usize = flag(args, "n", 3)?;
+    let seed: u64 = flag(args, "seed", 0xD0)?;
+    let cs_duration: u64 = flag(args, "cs-duration", 8)?;
     let demo = DoubleWinDemo {
         n,
         a: ProcessId::new(1),
@@ -1677,24 +1334,26 @@ pub fn cmd_impossibility(args: &Args) -> String {
         outcome.replay.bad_factor_step,
         outcome.report.genuine_overlaps.len(),
     ));
-    out
+    Ok(out)
 }
 
 /// Dispatches a parsed command line; returns the report text and the
-/// process exit code (non-zero for an unknown subcommand, so scripts and
-/// CI notice typos instead of silently getting the usage text).
-pub fn dispatch(args: &Args) -> (String, i32) {
+/// process exit code (non-zero for an unknown subcommand or an invalid
+/// flag, so scripts and CI notice typos instead of silently getting the
+/// usage text).
+pub fn dispatch(args: &Args) -> Outcome {
     if args.has("help") {
         return (USAGE.to_string(), 0);
     }
-    match args.command.as_deref() {
-        Some("idl") => (cmd_idl(args), 0),
-        Some("me") => (cmd_me(args), 0),
-        Some("live") => cmd_live(args),
-        Some("impossibility") => (cmd_impossibility(args), 0),
-        Some("help") | Some("-h") | None => (USAGE.to_string(), 0),
-        Some(other) => (format!("unknown command `{other}`\n\n{USAGE}"), 2),
-    }
+    let report = match args.command.as_deref() {
+        Some("idl") => cmd_idl(args),
+        Some("me") => cmd_me(args),
+        Some("live") => return cmd_live(args),
+        Some("impossibility") => cmd_impossibility(args),
+        Some("help") | Some("-h") | None => Ok(USAGE.to_string()),
+        Some(other) => return usage(format!("unknown command `{other}`")),
+    };
+    report.map_or_else(|usage| usage, |out| (out, 0))
 }
 
 #[cfg(test)]
@@ -1707,25 +1366,26 @@ mod tests {
 
     #[test]
     fn idl_reports_success() {
-        let out = cmd_idl(&parse("idl --n 3 --seed 5"));
+        let out = cmd_idl(&parse("idl --n 3 --seed 5")).expect("valid flags");
         assert!(out.contains("spec holds: true"), "{out}");
     }
 
     #[test]
     fn idl_corrupted_still_succeeds() {
-        let out = cmd_idl(&parse("idl --n 3 --seed 6 --corrupt --loss 0.2"));
+        let out = cmd_idl(&parse("idl --n 3 --seed 6 --corrupt --loss 0.2")).expect("valid flags");
         assert!(out.contains("spec holds: true"), "{out}");
     }
 
     #[test]
     fn me_serves_and_stays_exclusive() {
-        let out = cmd_me(&parse("me --n 3 --steps 80000 --requests 1 --corrupt"));
+        let out =
+            cmd_me(&parse("me --n 3 --steps 80000 --requests 1 --corrupt")).expect("valid flags");
         assert!(out.contains("genuine CS overlaps: 0"), "{out}");
     }
 
     #[test]
     fn impossibility_reports_dichotomy() {
-        let out = cmd_impossibility(&parse("impossibility --n 3"));
+        let out = cmd_impossibility(&parse("impossibility --n 3")).expect("valid flags");
         assert!(out.contains("bad factor reached = true"), "{out}");
         assert!(out.contains("does NOT exist"), "{out}");
     }
@@ -1813,9 +1473,13 @@ mod tests {
 
     #[test]
     fn live_mux_rejects_sharded_and_zero_workers() {
-        let (out, code) = cmd_live(&parse("live --n 3 --runtime mux --shards 2"));
-        assert_eq!(code, 2, "usage errors exit 2:\n{out}");
-        assert!(out.contains("--runtime mux is not supported"), "{out}");
+        // Sharded runs on mux like every other app.
+        let (out, code) = cmd_live(&parse(
+            "live --n 3 --shards 2 --runtime mux --workers 2 --check --budget-secs 40",
+        ));
+        assert_eq!(code, 0, "sharded on mux serves and checks:\n{out}");
+        assert!(out.contains("n=3 instances on 2 mux worker(s)"), "{out}");
+        assert!(out.contains("spec 3 on shard 1"), "{out}");
         let (out, code) = cmd_live(&parse("live --n 3 --runtime mux --workers 0"));
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("invalid --workers 0"), "{out}");
@@ -2240,6 +1904,81 @@ mod tests {
         assert!(out.contains("spec 4 per epoch:"), "{out}");
         assert!(out.contains("holds: true"), "{out}");
         assert_eq!(code, 0, "healthy forwarding chaos run exits 0:\n{out}");
+    }
+
+    /// One composition table for the one `live` report path: every app ×
+    /// runtime × chaos × monitor combination, plus sharded on both
+    /// runtimes, in memory at n = 3. Every row exits 0 and renders one
+    /// link-counter line, one per-link table, a mux scheduling line
+    /// exactly when the runtime is mux, and only verdicts that hold.
+    #[test]
+    fn live_composition_table_renders_every_row_alike() {
+        let mut rows = Vec::new();
+        for app in ["mutex", "forward"] {
+            for runtime in ["threads", "mux"] {
+                for chaos in ["", "--chaos all"] {
+                    for monitor in ["", "--monitor --monitor-interval 5"] {
+                        rows.push(format!("--app {app} --runtime {runtime} {chaos} {monitor}"));
+                    }
+                }
+            }
+        }
+        for runtime in ["threads", "mux"] {
+            rows.push(format!("--shards 2 --batch 2 --runtime {runtime}"));
+        }
+        for row in rows {
+            let (out, code) = cmd_live(&parse(&format!(
+                "live --n 3 --requests 2 --workers 2 --check --budget-secs 40 {row}"
+            )));
+            assert_eq!(code, 0, "`{row}`:\n{out}");
+            let count = |needle: &str| out.lines().filter(|l| l.contains(needle)).count();
+            assert_eq!(count("link counters:"), 1, "`{row}`:\n{out}");
+            assert_eq!(count("per-link counters"), 1, "`{row}`:\n{out}");
+            let mux = usize::from(row.contains("--runtime mux"));
+            assert_eq!(count("mux scheduling:"), mux, "`{row}`:\n{out}");
+            let verdicts: Vec<&str> = out.lines().filter(|l| l.contains("holds:")).collect();
+            assert!(!verdicts.is_empty(), "`{row}`:\n{out}");
+            assert!(
+                verdicts.iter().all(|l| l.contains("holds: true")),
+                "`{row}`:\n{out}"
+            );
+        }
+    }
+
+    /// A flag value that does not parse is a usage error on every
+    /// subcommand: exit 2, the flag and its value named, then the usage
+    /// text — never a panic.
+    fn assert_bad_value_exits_2(line: &str, named: &str) {
+        let (out, code) = dispatch(&parse(line));
+        assert_eq!(code, 2, "`{line}`:\n{out}");
+        assert!(out.contains(named), "`{line}`:\n{out}");
+        assert!(out.contains("USAGE"), "`{line}`:\n{out}");
+    }
+
+    #[test]
+    fn idl_bad_value_exits_2() {
+        assert_bad_value_exits_2("idl --n abc", "invalid --n `abc`");
+        assert_bad_value_exits_2("idl --loss lots", "invalid --loss `lots`");
+    }
+
+    #[test]
+    fn me_bad_value_exits_2() {
+        assert_bad_value_exits_2("me --steps -1", "invalid --steps `-1`");
+    }
+
+    #[test]
+    fn live_bad_value_exits_2() {
+        assert_bad_value_exits_2("live --n abc", "invalid --n `abc`");
+        assert_bad_value_exits_2("live --requests 2.5", "invalid --requests `2.5`");
+        assert_bad_value_exits_2("live --app forward --buffer x", "invalid --buffer `x`");
+    }
+
+    #[test]
+    fn impossibility_bad_value_exits_2() {
+        assert_bad_value_exits_2(
+            "impossibility --cs-duration many",
+            "invalid --cs-duration `many`",
+        );
     }
 
     #[test]

@@ -332,7 +332,7 @@ pub struct ForwardState {
 /// One process of the snap-stabilizing forwarding protocol.
 ///
 /// See the module docs for the mechanism; [`run_sim_forwarding`] for the
-/// simulator harness and `snapstab_runtime::run_forwarding_service` for
+/// simulator harness and `snapstab_runtime::ForwardingServiceConfig` for
 /// the live front-end.
 #[derive(Clone, Debug)]
 pub struct ForwardProcess {
@@ -869,7 +869,7 @@ pub struct SimForwardReport {
 }
 
 /// Runs the forwarding protocol in the deterministic simulator — the
-/// mirror of `snapstab_runtime::run_forwarding_service`, and the harness
+/// mirror of `snapstab_runtime::ForwardingServiceConfig`, and the harness
 /// behind the Specification 4 acceptance sweeps.
 ///
 /// ```

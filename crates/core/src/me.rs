@@ -31,7 +31,7 @@
 //! each grant serves a whole batch of non-conflicting client requests
 //! ([`crate::request::BatchQueue`]).
 //!
-//! ## Deviations (documented in DESIGN.md)
+//! ## Deviations (registered in ARCHITECTURE.md §11)
 //!
 //! * **D1** — the critical section may be given a duration
 //!   ([`MeConfig::cs_duration`]) instead of being atomic inside A3; the
@@ -123,7 +123,8 @@ impl From<PifEvent<MeBroadcast, MeFeedback>> for MeEvent {
     }
 }
 
-/// How the `Value` pointer advances on release (DESIGN.md D2).
+/// How the `Value` pointer advances on release (deviation D2,
+/// ARCHITECTURE.md §11).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ValueMode {
     /// `Value ← (Value + 1) mod n`: every value of the domain favours some

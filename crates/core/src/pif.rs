@@ -305,7 +305,8 @@ where
     {
         let domain = self.domain;
         // Defensive clamp: in-domain by construction for protocol-generated
-        // messages; forged initial messages are clamped (DESIGN.md D6 note).
+        // messages; forged initial messages are clamped (deviation D6,
+        // ARCHITECTURE.md §11).
         let sender_state = domain.clamp(msg.sender_state);
         let echoed_state = domain.clamp(msg.echoed_state);
 

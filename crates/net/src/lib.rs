@@ -37,20 +37,21 @@
 //!
 //! ```
 //! use snapstab_net::UdpLoopback;
-//! use snapstab_runtime::{run_mutex_service_on, MutexServiceConfig};
+//! use snapstab_runtime::{run_service, MutexServiceConfig, ServiceRun};
 //! use std::time::Duration;
 //!
 //! # if !snapstab_net::udp_available() { return; } // skip in socketless sandboxes
-//! let report = run_mutex_service_on(
-//!     &MutexServiceConfig {
-//!         n: 3,
-//!         requests_per_process: 2,
-//!         time_budget: Duration::from_secs(30),
-//!         ..MutexServiceConfig::default()
-//!     },
-//!     &UdpLoopback::new(),
-//! )
-//! .expect("bind the loopback socket");
+//! let cfg = MutexServiceConfig {
+//!     n: 3,
+//!     requests_per_process: 2,
+//!     time_budget: Duration::from_secs(30),
+//!     ..MutexServiceConfig::default()
+//! };
+//! let run = ServiceRun {
+//!     transport: &UdpLoopback::new(),
+//!     ..ServiceRun::default()
+//! };
+//! let (report, _) = run_service(&cfg, run).expect("bind the loopback socket");
 //! assert_eq!(report.served, 6);
 //! // The merged trace passes the same Specification 3 checker as
 //! // simulated and in-memory live runs (see `tests/udp_runtime.rs`).

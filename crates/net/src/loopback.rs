@@ -39,22 +39,23 @@ struct Connected {
 ///
 /// ```
 /// use snapstab_net::UdpLoopback;
-/// use snapstab_runtime::{run_mutex_service_on, LiveConfig, MutexServiceConfig};
+/// use snapstab_runtime::{run_service, MutexServiceConfig, ServiceRun};
 /// use std::time::Duration;
 ///
 /// # if !snapstab_net::udp_available() { return; } // skip in socketless sandboxes
 /// // Three workers exchanging Algorithm 3 messages through a real socket.
 /// let transport = UdpLoopback::new();
-/// let report = run_mutex_service_on(
-///     &MutexServiceConfig {
-///         n: 3,
-///         requests_per_process: 1,
-///         time_budget: Duration::from_secs(30),
-///         ..MutexServiceConfig::default()
-///     },
-///     &transport,
-/// )
-/// .expect("bind the loopback socket");
+/// let cfg = MutexServiceConfig {
+///     n: 3,
+///     requests_per_process: 1,
+///     time_budget: Duration::from_secs(30),
+///     ..MutexServiceConfig::default()
+/// };
+/// let run = ServiceRun {
+///     transport: &transport,
+///     ..ServiceRun::default()
+/// };
+/// let (report, _) = run_service(&cfg, run).expect("bind the loopback socket");
 /// assert_eq!(report.served, 3);
 /// // Every staged record left in some frame, usually several to a frame.
 /// let frames = transport.frame_stats();

@@ -645,13 +645,7 @@ impl ChaosReport {
     /// The `q`-quantile (`0 ≤ q ≤ 1`, nearest-rank) of the recovery
     /// times, or `None` if no burst had a completion after it.
     pub fn recovery_quantile(&self, q: f64) -> Option<Duration> {
-        if self.recovery.is_empty() {
-            return None;
-        }
-        let mut sorted = self.recovery.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(sorted[idx.min(sorted.len() - 1)])
+        crate::service::quantiles(&self.recovery, &[q]).map(|v| v[0])
     }
 }
 
@@ -825,7 +819,7 @@ impl ChaosEngine {
 /// ```ignore
 /// let chaos_t = ChaosTransport::new(&InMemory, n);
 /// let plane = chaos_t.plane();
-/// let mut runner = LiveRunner::spawn_with_transport(procs, drivers, cfg, &chaos_t)?;
+/// let mut runner = LiveRunner::spawn_with_transport(procs, drivers, cfg, &chaos_t, None)?;
 /// let mut harness = ChaosHarness::new(&plan, plane, n, &cfg);
 /// while !(done && harness.done(&runner)) {
 ///     std::thread::sleep(Duration::from_millis(2));
@@ -1111,6 +1105,7 @@ mod tests {
             vec![None, None, None],
             cfg.clone(),
             &chaos,
+            None,
         )
         .expect("in-memory");
         let plan = ChaosPlan {

@@ -33,7 +33,7 @@
 //! ```
 //! use snapstab_core::idl::IdlProcess;
 //! use snapstab_core::request::RequestState;
-//! use snapstab_runtime::{LiveConfig, LiveRunner};
+//! use snapstab_runtime::{LiveConfig, LiveRunner, RuntimeBackend};
 //! use snapstab_sim::ProcessId;
 //! use std::time::Duration;
 //!
@@ -55,52 +55,33 @@
 //! assert_eq!(report.processes[0].idl().min_id(), 10);
 //! ```
 //!
-//! ## The mutex service — single-leader and sharded
+//! ## One way to run a service
 //!
-//! [`run_mutex_service`] puts Algorithm 3 behind a client request queue:
-//! every worker's driver hook injects critical-section requests as fast
-//! as the protocol serves them, timing each one. `exp_rtbench` (in
-//! `snapstab-bench`) and the `snapstab live` CLI subcommand drive it at
-//! up to 64 threads and hundreds of thousands of requests; committed
-//! throughput numbers live in `BENCH_RUNTIME.json`.
+//! Every live service is an *app* run by one driver, [`run_service`]:
+//! the app says what runs (the protocol, one closed-loop client per
+//! process, the report), a [`ServiceRun`] says how — the [`Backend`],
+//! the [`Transport`], an optional [`ChaosPlan`]. The axes are values,
+//! not function names, so every combination composes — the sharded
+//! service on the mux pool, say ([`Backend`] shows it).
 //!
-//! That service is protocol-bound: one grant per leader `Value` rotation.
-//! [`run_sharded_service`] multiplies the ceiling — each worker hosts `S`
-//! independent protocol instances (`snapstab_core::shard::ShardedMe`,
-//! leaders spread round-robin), the resource space is hash-partitioned
-//! across shards, and every grant serves a batch of non-conflicting
-//! client requests atomically inside one critical section:
-//!
-//! ```
-//! use snapstab_runtime::{run_sharded_service, LiveConfig, ShardedServiceConfig};
-//! use std::time::Duration;
-//!
-//! let report = run_sharded_service(&ShardedServiceConfig {
-//!     n: 3,          // worker threads
-//!     shards: 2,     // independent leaders
-//!     batch: 2,      // max client requests per grant
-//!     requests_per_process: 2,
-//!     live: LiveConfig { seed: 7, ..LiveConfig::default() },
-//!     time_budget: Duration::from_secs(30),
-//!     ..ShardedServiceConfig::default()
-//! });
-//! assert_eq!(report.served, 6);
-//! // The grant log audits the composition: conflict-free batches,
-//! // correct shard routing, every request served exactly once.
-//! assert!(report.audit().holds());
-//! ```
-//!
-//! ## The forwarding service
-//!
-//! [`run_forwarding_service`] drives the snap-stabilizing *message
-//! forwarding* protocol (`snapstab_core::forward`): every worker hosts
-//! one hop of the process line, a per-process injection queue feeds
-//! client payloads, and end-to-end delivery latencies are timed from
-//! source to destination. Runs may start from adversarially pre-filled
-//! buffers (`prefill_stale`), and the merged trace is judged by
-//! executable Specification 4
-//! (`snapstab_core::spec::analyze_forwarding_trace`) — the same checker
-//! the simulator harness uses.
+//! Three apps ship with the crate. [`MutexServiceConfig`] puts
+//! Algorithm 3 behind a client request queue: every process's client
+//! injects critical-section requests as fast as the protocol serves
+//! them, timing each one. That service is protocol-bound — one grant
+//! per leader `Value` rotation — and [`ShardedServiceConfig`]
+//! multiplies the ceiling: each process hosts `S` independent protocol
+//! instances (`snapstab_core::shard::ShardedMe`, leaders spread
+//! round-robin), the resource space is hash-partitioned across shards,
+//! and every grant serves a batch of non-conflicting client requests
+//! atomically inside one critical section. [`ForwardingServiceConfig`]
+//! drives the snap-stabilizing *message forwarding* protocol
+//! (`snapstab_core::forward`): a per-process injection queue feeds
+//! client payloads, end-to-end latencies are timed from source to
+//! destination, runs may start from adversarially pre-filled buffers
+//! (`prefill_stale`), and the merged trace is judged by executable
+//! Specification 4 (`snapstab_core::spec::analyze_forwarding_trace`).
+//! The `snapstab live` CLI subcommand and `exp_rtbench` (in
+//! `snapstab-bench`) drive all three.
 //!
 //! ## Pluggable transports
 //!
@@ -113,9 +94,8 @@
 //! path. A transport owns no thread: a `send` that cannot deliver on the
 //! spot stages its message, and the workers of either backend call
 //! [`Link::pump`] once per scheduling quantum to move what is staged and
-//! deliver what has arrived (a no-op in memory). Pass a backend to
-//! [`LiveRunner::spawn_with_transport`], [`run_mutex_service_on`] or
-//! [`run_sharded_service_on`].
+//! deliver what has arrived (a no-op in memory). Pass a transport as
+//! [`ServiceRun::transport`] or to [`LiveRunner::spawn_with_transport`].
 //!
 //! ## Two backends, one seam
 //!
@@ -126,13 +106,12 @@
 //! small worker pool, scheduling them through a ready queue keyed by
 //! link traffic — that runs the same protocols, transports, and trace
 //! stamping unchanged at n = 1024 and beyond. Everything above the
-//! runner (services, chaos, the spec checkers) is written against the
-//! [`RuntimeBackend`] trait, so the backends are interchangeable; the
-//! cross-backend conformance suite (`tests/mux_runtime.rs`) drives the
-//! same seeded workloads through both and holds their merged traces to
-//! the same specifications. Mux entry points mirror the thread ones:
-//! [`run_mutex_service_mux`], [`run_forwarding_service_mux`], and their
-//! `_on` / chaos variants.
+//! runner (the service driver, chaos, the spec checkers) is written
+//! against the [`RuntimeBackend`] trait, so the backends are
+//! interchangeable: a service picks one with [`Backend::Threads`] or
+//! [`Backend::Mux`], and the cross-backend conformance suite
+//! (`tests/mux_runtime.rs`) drives the same seeded workloads through
+//! both and holds their merged traces to the same specifications.
 //!
 //! ## Crash and restart
 //!
@@ -155,8 +134,9 @@
 //! [`ChaosReport`] carries the authoritative fault steps at which
 //! `snapstab_core::spec::analyze_me_epochs` /
 //! `analyze_forwarding_epochs` segment the merged trace, requiring the
-//! paper's specifications to hold per epoch. [`run_mutex_service_chaos_on`]
-//! and [`run_forwarding_service_chaos_on`] package the whole loop.
+//! paper's specifications to hold per epoch. Setting
+//! [`ServiceRun::chaos`] packages the whole loop for any app on either
+//! backend.
 //!
 //! ## Observability — monitoring cuts
 //!
@@ -169,13 +149,11 @@
 //! global cut of [`ProbeDigest`] values — per-process protocol-state
 //! digests, queue depths, in-flight counts — plus per-link counter
 //! samples ([`LinkSample`]), without pausing any worker.
-//! [`run_monitored_mutex_service`] and
-//! [`run_monitored_forwarding_service`] package the wiring on the
-//! thread backend; [`run_monitored_mutex_service_mux`] and
-//! [`run_monitored_forwarding_service_mux`] run the same composition on
-//! the multiplexed pool, so one cut spans hundreds of instances. Every
-//! cut in the merged trace is judged by executable Specification 5
-//! (`snapstab_core::spec::analyze_snapshot_trace`), which attributes
+//! [`Monitoring`] is the app combinator: `Monitoring::new(&cfg, &mon)`
+//! runs the mutex or forwarding app monitored, on either backend,
+//! under chaos or not, so one cut spans hundreds of mux instances.
+//! Every cut in the merged trace is judged by executable Specification
+//! 5 (`snapstab_core::spec::analyze_snapshot_trace`), which attributes
 //! each decided cut to the ledger that requested it.
 //!
 //! The [`telemetry`] module turns the cut stream into first-class
@@ -208,17 +186,9 @@ pub use chaos::{
 };
 pub use link::{LaneOf, LinkStats, LiveLink};
 pub use monitor::{
-    project_service_trace, run_monitored_forwarding_service,
-    run_monitored_forwarding_service_chaos_mux_on, run_monitored_forwarding_service_chaos_on,
-    run_monitored_forwarding_service_mux, run_monitored_forwarding_service_mux_on,
-    run_monitored_forwarding_service_mux_with, run_monitored_forwarding_service_on,
-    run_monitored_forwarding_service_with, run_monitored_mutex_service,
-    run_monitored_mutex_service_chaos_mux_on, run_monitored_mutex_service_chaos_on,
-    run_monitored_mutex_service_mux, run_monitored_mutex_service_mux_on,
-    run_monitored_mutex_service_mux_with, run_monitored_mutex_service_on,
-    run_monitored_mutex_service_with, CutOutcome, InitiatorStats, LiveCut, MonitorConfig,
+    project_service_trace, CutOutcome, InitiatorStats, LiveCut, MonitorApp, MonitorConfig,
     MonitorReport, Monitored, MonitoredEvent, MonitoredForwardingReport, MonitoredMsg,
-    MonitoredMutexReport, MonitoredState,
+    MonitoredMutexReport, MonitoredState, Monitoring,
 };
 pub use mux::MuxRunner;
 pub use runner::{
@@ -226,12 +196,10 @@ pub use runner::{
     TraceDetail, WorkerStats,
 };
 pub use service::{
-    run_forwarding_service, run_forwarding_service_chaos_mux_on, run_forwarding_service_chaos_on,
-    run_forwarding_service_mux, run_forwarding_service_mux_on, run_forwarding_service_on,
-    run_mutex_service, run_mutex_service_chaos_mux_on, run_mutex_service_chaos_on,
-    run_mutex_service_mux, run_mutex_service_mux_on, run_mutex_service_on, run_sharded_service,
-    run_sharded_service_on, ForwardingServiceConfig, ForwardingServiceReport, MutexServiceConfig,
-    ServiceReport, ShardedReport, ShardedServiceConfig,
+    run_forwarding_service_mux_on, run_mutex_service_chaos_mux_on, run_mutex_service_mux_on,
+    run_service, Backend, Client, Finished, ForwardingServiceConfig, ForwardingServiceReport,
+    Gauged, Marks, MutexServiceConfig, ServiceApp, ServiceReport, ServiceRun, ShardedReport,
+    ShardedServiceConfig,
 };
 pub use telemetry::{
     alert_marks, summary_json_line, Alert, AlertConfig, AlertKind, AlertMonitor, Series,

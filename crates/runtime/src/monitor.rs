@@ -5,15 +5,14 @@
 //! ([`snapstab_apps::SnapshotProcess`]) *alongside* a service protocol
 //! `P` on the same transport: every wire message is a
 //! [`MonitoredMsg`] (service or monitor plane), and the composite is
-//! itself a [`Protocol`], so the existing runtime backends — the
-//! thread-per-process [`crate::LiveRunner`] and the multiplexed
-//! [`crate::MuxRunner`], through the [`RuntimeBackend`] seam — plus
-//! the supervisor and chaos engine drive it unchanged. Each
-//! initiator's driver periodically requests a cut
-//! ([`Monitored::request_cut`]); one snapshot wave then collects a
-//! [`ProbeDigest`] per process — a digest of the live service state
-//! plus the instrumentation gauges each worker's driver maintains —
-//! **without pausing any worker**: digests are captured inside the
+//! itself a [`Protocol`], so both runtime backends, the supervisor and
+//! the chaos engine drive it unchanged. [`Monitoring`] is the app
+//! combinator that wraps the mutex or forwarding app this way for
+//! [`crate::run_service`]. Each initiator's client periodically
+//! requests a cut ([`Monitored::request_cut`]); one snapshot wave then
+//! collects a [`ProbeDigest`] per process — a digest of the live
+//! service state plus the instrumentation gauges each process's client
+//! maintains — **without pausing any worker**: digests are captured inside the
 //! ordinary atomic receive actions of the wave's broadcast, exactly
 //! where the paper's snapshot reads its value. The §4.1 protocol lets
 //! any process initiate, so [`MonitorConfig::initiators`] may run K
@@ -29,24 +28,25 @@
 //! channel contents, the per-link half of a cut is sampled as counters
 //! ([`crate::LinkSample`]) rather than recorded Chandy–Lamport style.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use snapstab_apps::{SnapQuery, SnapshotProcess, SnapshotState};
-use snapstab_core::forward::{forward_workload, ForwardConfig, ForwardProcess, STALE_ID_BIT};
-use snapstab_core::me::{MeConfig, MeEvent, MeMsg, MeProcess};
+use snapstab_core::forward::ForwardProcess;
+use snapstab_core::me::{MeEvent, MeMsg, MeProcess};
 use snapstab_core::pif::PifMsg;
 use snapstab_core::probe::{state_digest, MonitorEvent, MonitorEventView, ProbeDigest};
 use snapstab_core::request::RequestState;
 use snapstab_sim::{Context, ProcessId, Protocol, SimRng, Trace, TraceEvent};
 
-use crate::chaos::{ChaosHarness, ChaosPlan, ChaosReport, ChaosTransport};
-use crate::runner::{Driver, LinkSample, LiveConfig, LiveStats, RuntimeBackend, Scribe};
-use crate::service::{spawn_mux, spawn_threads, ForwardingServiceConfig, MutexServiceConfig};
+use crate::chaos::ChaosHarness;
+use crate::runner::{LinkSample, LiveConfig, LiveStats, RuntimeBackend};
+use crate::service::{
+    quantiles, Client, Finished, ForwardTally, ForwardingServiceConfig, Gauged, Marks,
+    MutexServiceConfig, MutexTally, ServiceApp,
+};
 use crate::telemetry::{Alert, AlertConfig, AlertKind, AlertMonitor};
-use crate::transport::{InMemory, Transport};
 
 /// Wire message of a monitored service: the service plane carries the
 /// wrapped protocol's own messages, the monitor plane the snapshot
@@ -140,10 +140,7 @@ pub struct Monitored<P: Protocol> {
     /// Outcomes awaiting [`Monitored::take_cuts`].
     finished: Vec<CutOutcome>,
     /// Reusable inner-context buffers: the wrapper runs both planes
-    /// against these on every activation and receive, and the hot path
-    /// (millions of service messages per second) must not pay a heap
-    /// allocation per step just because a monitor rides along. Always
-    /// drained before a call returns.
+    /// against these on every activation and receive ([`plane`]).
     scratch_sends: Vec<(ProcessId, P::Msg)>,
     scratch_events: Vec<P::Event>,
     scratch_msends: Vec<(ProcessId, PifMsg<SnapQuery, ProbeDigest>)>,
@@ -237,6 +234,35 @@ impl<P: Protocol> Monitored<P> {
     }
 }
 
+/// Runs one plane's atomic step against an inner context over that
+/// plane's scratch buffers, then puts its sends on the wire through
+/// `wrap` and its events through `emit` (`None` drops one). The buffers
+/// are drained, not dropped: the hot path must not pay a heap allocation
+/// per step just because a monitor rides along.
+fn plane<PM, PE, M, E, R>(
+    (me, n, ctx): (ProcessId, usize, &mut Context<'_, M, E>),
+    (sends, events): (&mut Vec<(ProcessId, PM)>, &mut Vec<PE>),
+    step: impl FnOnce(&mut Context<'_, PM, PE>) -> R,
+    wrap: impl Fn(PM) -> M,
+    emit: impl Fn(PE) -> Option<E>,
+) -> R {
+    let result = step(&mut Context::new(
+        me,
+        n,
+        ctx.step(),
+        ctx.rng(),
+        sends,
+        events,
+    ));
+    for (to, m) in sends.drain(..) {
+        ctx.send(to, wrap(m));
+    }
+    for e in events.drain(..).filter_map(emit) {
+        ctx.emit(e);
+    }
+    result
+}
+
 impl<P> Protocol for Monitored<P>
 where
     P: Protocol,
@@ -246,31 +272,14 @@ where
     type State = MonitoredState<P::State>;
 
     fn activate(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Event>) -> bool {
-        let mut acted = false;
-
-        // Service plane: run the wrapped protocol against an inner
-        // context, then translate its sends/events onto the wire.
-        let mut sends = std::mem::take(&mut self.scratch_sends);
-        let mut events = std::mem::take(&mut self.scratch_events);
-        {
-            let mut inner = Context::new(
-                self.me,
-                self.n,
-                ctx.step(),
-                ctx.rng(),
-                &mut sends,
-                &mut events,
-            );
-            acted |= self.service.activate(&mut inner);
-        }
-        for (to, m) in sends.drain(..) {
-            ctx.send(to, MonitoredMsg::Service(m));
-        }
-        for e in events.drain(..) {
-            ctx.emit(MonitoredEvent::Service(e));
-        }
-        self.scratch_sends = sends;
-        self.scratch_events = events;
+        let (me, n) = (self.me, self.n);
+        let mut acted = plane(
+            (me, n, ctx),
+            (&mut self.scratch_sends, &mut self.scratch_events),
+            |inner| self.service.activate(inner),
+            MonitoredMsg::Service,
+            |e| Some(MonitoredEvent::Service(e)),
+        );
 
         // Hand a driver-requested cut to the monitor. `request_snapshot`
         // refuses while the monitor's request variable is corrupted
@@ -291,25 +300,13 @@ where
         // Monitor plane: drive the snapshot instance. Its own low-level
         // events are dropped (cut-level events are emitted by this
         // wrapper); its sends go out on the monitor plane.
-        let mut msends = std::mem::take(&mut self.scratch_msends);
-        let mut mevents = std::mem::take(&mut self.scratch_mevents);
-        {
-            let mut inner = Context::new(
-                self.me,
-                self.n,
-                ctx.step(),
-                ctx.rng(),
-                &mut msends,
-                &mut mevents,
-            );
-            acted |= self.monitor.activate(&mut inner);
-        }
-        for (to, m) in msends.drain(..) {
-            ctx.send(to, MonitoredMsg::Monitor(m));
-        }
-        mevents.clear();
-        self.scratch_msends = msends;
-        self.scratch_mevents = mevents;
+        acted |= plane(
+            (me, n, ctx),
+            (&mut self.scratch_msends, &mut self.scratch_mevents),
+            |inner| self.monitor.activate(inner),
+            MonitoredMsg::Monitor,
+            |_| None,
+        );
 
         // Decision: the ledger vouches for the wave, the collection is
         // locally validated, and only then is a cut published.
@@ -345,55 +342,28 @@ where
         msg: Self::Msg,
         ctx: &mut Context<'_, Self::Msg, Self::Event>,
     ) {
+        let (me, n) = (self.me, self.n);
         match msg {
-            MonitoredMsg::Service(m) => {
-                let mut sends = std::mem::take(&mut self.scratch_sends);
-                let mut events = std::mem::take(&mut self.scratch_events);
-                {
-                    let mut inner = Context::new(
-                        self.me,
-                        self.n,
-                        ctx.step(),
-                        ctx.rng(),
-                        &mut sends,
-                        &mut events,
-                    );
-                    self.service.on_receive(from, m, &mut inner);
-                }
-                for (to, m) in sends.drain(..) {
-                    ctx.send(to, MonitoredMsg::Service(m));
-                }
-                for e in events.drain(..) {
-                    ctx.emit(MonitoredEvent::Service(e));
-                }
-                self.scratch_sends = sends;
-                self.scratch_events = events;
-            }
+            MonitoredMsg::Service(m) => plane(
+                (me, n, ctx),
+                (&mut self.scratch_sends, &mut self.scratch_events),
+                |inner| self.service.on_receive(from, m, inner),
+                MonitoredMsg::Service,
+                |e| Some(MonitoredEvent::Service(e)),
+            ),
             MonitoredMsg::Monitor(m) => {
                 // Capture-on-receive: the digest a passing wave reads is
                 // refreshed *inside* this atomic receive action, so the
                 // answered value reflects the service state at exactly
                 // this step — the paper's §4.1 read point.
                 self.refresh_digest();
-                let mut msends = std::mem::take(&mut self.scratch_msends);
-                let mut mevents = std::mem::take(&mut self.scratch_mevents);
-                {
-                    let mut inner = Context::new(
-                        self.me,
-                        self.n,
-                        ctx.step(),
-                        ctx.rng(),
-                        &mut msends,
-                        &mut mevents,
-                    );
-                    self.monitor.on_receive(from, m, &mut inner);
-                }
-                for (to, m) in msends.drain(..) {
-                    ctx.send(to, MonitoredMsg::Monitor(m));
-                }
-                mevents.clear();
-                self.scratch_msends = msends;
-                self.scratch_mevents = mevents;
+                plane(
+                    (me, n, ctx),
+                    (&mut self.scratch_msends, &mut self.scratch_mevents),
+                    |inner| self.monitor.on_receive(from, m, inner),
+                    MonitoredMsg::Monitor,
+                    |_| None,
+                )
             }
         }
     }
@@ -702,26 +672,12 @@ impl MonitoredForwardingReport {
         self.delivered as f64 / self.wall.as_secs_f64()
     }
 }
-
-fn quantiles(latencies: &[Duration], qs: &[f64]) -> Option<Vec<Duration>> {
-    if latencies.is_empty() {
-        return None;
-    }
-    let mut v = latencies.to_vec();
-    v.sort_unstable();
-    Some(
-        qs.iter()
-            .map(|q| v[((v.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize])
-            .collect(),
-    )
-}
-
-/// Shared plumbing of the monitoring drivers: the per-initiator cut
-/// schedules and the feed the harness loop drains. `requested_at`
-/// lives here (not in the driver closures) so the post-stop drain can
-/// still timestamp the staleness of a cut that decided after its
-/// initiator driver's last pass; with K concurrent initiators each
-/// ledger needs its own request-time slot.
+/// Shared plumbing of the monitoring clients: the per-initiator cut
+/// schedules and the feed the supervision loop drains. `requested_at`
+/// lives here (not in the clients) so the post-stop drain can still
+/// timestamp the staleness of a cut that decided after its initiator
+/// client's last pass; with K concurrent initiators each ledger needs
+/// its own request-time slot.
 struct MonitorFeed {
     started: Instant,
     cuts: Mutex<Vec<LiveCut>>,
@@ -778,70 +734,8 @@ fn record_outcome(feed: &MonitorFeed, initiator: ProcessId, outcome: CutOutcome)
     }
 }
 
-/// Moves finished cut outcomes out of the `Monitored` ledger into the
-/// feed. Returns whether anything moved. Called post-stop on the
-/// protocol states the stopped runner hands back (the in-run path is
-/// [`drive_monitor`], which additionally evaluates alerts).
-fn drain_outcomes<P: Protocol>(
-    proc: &mut Monitored<P>,
-    feed: &MonitorFeed,
-    initiator: ProcessId,
-) -> bool {
-    let mut progressed = false;
-    for outcome in proc.take_cuts() {
-        record_outcome(feed, initiator, outcome);
-        progressed = true;
-    }
-    progressed
-}
-
-/// Builds the monitoring half of an initiator's driver hook: requests
-/// cuts on the interval, drains outcomes, timestamps staleness, and
-/// runs the alert thresholds — a fired alert is stamped into the trace
-/// *by this driver, inside the run* (so alert behavior is part of what
-/// the specifications judge) and pushed to the feed for the harness.
-/// Returns whether it progressed. Link samples are attached
-/// harness-side (the driver runs inside a worker and has no view of
-/// the link matrix).
-fn drive_monitor<P: Protocol>(
-    proc: &mut Monitored<P>,
-    scribe: &mut Scribe<'_, MonitoredMsg<P::Msg>, MonitoredEvent<P::Event>>,
-    feed: &MonitorFeed,
-    initiator: ProcessId,
-    interval: Duration,
-    next_due: &mut Instant,
-    alerts: &mut AlertMonitor,
-) -> bool {
-    let mut progressed = false;
-    for outcome in proc.take_cuts() {
-        let fired: Vec<Alert> = match &outcome {
-            CutOutcome::Decided { cut, values, .. } => {
-                let served: u64 = values.iter().map(|v| v.served).sum();
-                let queue: u64 = values.iter().map(|v| u64::from(v.queue_depth)).sum();
-                alerts.on_decided(*cut, served, queue)
-            }
-            CutOutcome::Refused { cut } => alerts.on_refused(*cut).into_iter().collect(),
-        };
-        record_outcome(feed, initiator, outcome);
-        for alert in fired {
-            scribe.mark(alert.mark());
-            feed.alerts.lock().expect("alert feed").push(alert);
-        }
-        progressed = true;
-    }
-    let now = Instant::now();
-    if now >= *next_due && proc.request_cut().is_some() {
-        *feed.requested_at[initiator.index()]
-            .lock()
-            .expect("requested_at") = Some(now);
-        *next_due = now + interval;
-        progressed = true;
-    }
-    progressed
-}
-
-/// Drains the feed, attaches `links` to each cut, reports them to
-/// `on_cut`, and appends them to `cuts`.
+/// Drains newly surfaced cuts from the feed, attaches `links` to each,
+/// reports them to `on_cut`, and appends them to `cuts`.
 fn flush_feed(
     feed: &MonitorFeed,
     links: &[LinkSample],
@@ -861,647 +755,374 @@ fn flush_feed(
     }
 }
 
-/// Drains newly surfaced cuts from the feed, attaches the current link
-/// samples, reports them to `on_cut`, and appends them to `cuts`.
-/// Generic over the runtime backend: the thread-per-process
-/// [`LiveRunner`](crate::LiveRunner) and the multiplexed
-/// [`MuxRunner`](crate::MuxRunner) expose the same link table through
-/// the [`RuntimeBackend`] seam.
-fn absorb_cuts<P, B>(
-    runner: &B,
-    feed: &MonitorFeed,
-    cuts: &mut Vec<LiveCut>,
-    on_cut: &mut Option<&mut dyn FnMut(&LiveCut)>,
-) where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Event: Send,
-    B: RuntimeBackend<P>,
-{
-    if feed.cuts.lock().expect("cut feed").is_empty() {
-        return;
-    }
-    let links = runner.link_samples();
-    flush_feed(feed, &links, cuts, on_cut);
+/// One initiator's cut schedule and alert thresholds, run by its
+/// client.
+struct Initiator {
+    me: ProcessId,
+    feed: Arc<MonitorFeed>,
+    interval: Duration,
+    next_due: Instant,
+    alerts: AlertMonitor,
 }
 
-/// Feeds newly fired stalled-served alerts to the chaos supervisor as
-/// a wedge signal: the whole service showing zero progress across
-/// consecutive consistent cuts (with work queued) marks every worker
-/// suspect, so the watchdog recycles any that show no fresh activity
-/// by its next pass instead of waiting out the full wedge deadline.
-/// Returns the new alert-feed cursor.
-fn feed_wedge_alerts(feed: &MonitorFeed, harness: &mut ChaosHarness, seen: usize) -> usize {
-    let alerts = feed.alerts.lock().expect("alert feed");
-    let stalled = alerts[seen.min(alerts.len())..]
-        .iter()
-        .any(|a| a.kind == AlertKind::StalledServed);
-    let len = alerts.len();
-    drop(alerts);
-    if stalled {
-        harness.suspect_all();
+impl Initiator {
+    /// Requests cuts on the interval, drains outcomes, timestamps
+    /// staleness, and runs the alert thresholds — a fired alert is
+    /// stamped into the trace *by this client, inside the run* (so
+    /// alert behavior is part of what the specifications judge) and
+    /// pushed to the feed for the supervision loop. Returns whether it
+    /// progressed. Link samples are attached loop-side (the client runs
+    /// inside a worker and has no view of the link matrix).
+    fn drive<P: Protocol>(&mut self, proc: &mut Monitored<P>, marks: &mut impl Marks) -> bool {
+        let mut progressed = false;
+        for outcome in proc.take_cuts() {
+            let fired: Vec<Alert> = match &outcome {
+                CutOutcome::Decided { cut, values, .. } => {
+                    let served: u64 = values.iter().map(|v| v.served).sum();
+                    let queue: u64 = values.iter().map(|v| u64::from(v.queue_depth)).sum();
+                    self.alerts.on_decided(*cut, served, queue)
+                }
+                CutOutcome::Refused { cut } => self.alerts.on_refused(*cut).into_iter().collect(),
+            };
+            record_outcome(&self.feed, self.me, outcome);
+            for alert in fired {
+                marks.mark(alert.mark());
+                self.feed.alerts.lock().expect("alert feed").push(alert);
+            }
+            progressed = true;
+        }
+        let now = Instant::now();
+        if now >= self.next_due && proc.request_cut().is_some() {
+            *self.feed.requested_at[self.me.index()]
+                .lock()
+                .expect("requested_at") = Some(now);
+            self.next_due = now + self.interval;
+            progressed = true;
+        }
+        progressed
     }
-    len
 }
 
-/// Assembles the [`MonitorReport`] from the drained feed.
-fn monitor_report(
-    feed: &MonitorFeed,
+/// The monitored sink: a completion also writes the `"served"` marker —
+/// what Specification 5's causal check bounds the cut gauges against —
+/// and counts toward the process's `served` gauge.
+struct Served<'s, K> {
+    marks: &'s mut K,
+    served: &'s mut u64,
+}
+
+impl<K: Marks> Marks for Served<'_, K> {
+    fn me(&self) -> ProcessId {
+        self.marks.me()
+    }
+
+    fn mark(&mut self, label: impl Into<String>) -> u64 {
+        self.marks.mark(label)
+    }
+
+    fn completed(&mut self) {
+        *self.served += 1;
+        self.marks.mark("served");
+    }
+}
+
+/// A [`Monitoring`] client: the wrapped app's client on the service
+/// plane, then the digest gauges, then — at an initiator — the cut
+/// schedule.
+pub struct MonitorClient<C> {
+    inner: C,
+    /// Requests or payloads completed at this process.
+    served: u64,
+    initiator: Option<Initiator>,
+}
+
+impl<P: Protocol, C: Client<P> + Gauged<P>> Client<Monitored<P>> for MonitorClient<C> {
+    fn step(&mut self, proc: &mut Monitored<P>, marks: &mut impl Marks) -> bool {
+        let mut sink = Served {
+            marks: &mut *marks,
+            served: &mut self.served,
+        };
+        let mut progressed = self.inner.step(proc.service_mut(), &mut sink);
+        let (queue, in_flight) = self.inner.gauges(proc.service());
+        proc.set_gauges(queue, in_flight, self.served);
+        if let Some(initiator) = self.initiator.as_mut() {
+            progressed |= initiator.drive(proc, marks);
+        }
+        progressed
+    }
+}
+
+/// A [`Monitoring`] run's tally: the wrapped app's, plus the cut feed
+/// and the cuts surfaced so far.
+pub struct MonitorTally<T> {
+    inner: T,
+    feed: Arc<MonitorFeed>,
     cuts: Vec<LiveCut>,
-    initiators: usize,
-    wall: Duration,
-) -> MonitorReport {
-    MonitorReport {
-        cuts,
-        refused: feed.refused.load(Ordering::Relaxed),
-        refused_by: feed
-            .refused_by
-            .iter()
-            .take(initiators)
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
-        initiators,
-        alerts: std::mem::take(&mut *feed.alerts.lock().expect("alert feed")),
-        wall,
+    alerts_fed: usize,
+}
+
+/// An app [`Monitoring`] can wrap: its clients report gauges, and it
+/// knows its monitored report.
+pub trait MonitorApp: ServiceApp<Client: Gauged<<Self as ServiceApp>::Proc>> {
+    /// What a monitored run yields.
+    type MonitoredReport;
+
+    /// Builds the monitored report of the stopped run.
+    fn finish_monitored(
+        self,
+        tally: Self::Tally,
+        run: Finished<Monitored<Self::Proc>>,
+        monitor: MonitorReport,
+    ) -> Self::MonitoredReport;
+}
+
+impl MonitorApp for &MutexServiceConfig {
+    type MonitoredReport = MonitoredMutexReport;
+
+    fn finish_monitored(
+        self,
+        tally: Arc<MutexTally>,
+        run: Finished<Monitored<MeProcess>>,
+        monitor: MonitorReport,
+    ) -> MonitoredMutexReport {
+        let (injected, served, latencies) = tally.take();
+        MonitoredMutexReport {
+            injected,
+            served,
+            wall: run.wall,
+            stats: run.stats,
+            trace: run.trace,
+            latencies,
+            link_samples: run.link_samples,
+            monitor,
+        }
     }
 }
 
-/// Runs the mutex service with a monitoring instance alongside, over
-/// the in-memory transport.
+impl MonitorApp for &ForwardingServiceConfig {
+    type MonitoredReport = MonitoredForwardingReport;
+
+    fn finish_monitored(
+        self,
+        tally: Arc<ForwardTally>,
+        run: Finished<Monitored<ForwardProcess>>,
+        monitor: MonitorReport,
+    ) -> MonitoredForwardingReport {
+        let (injected, delivered, spurious, latencies) = tally.take();
+        MonitoredForwardingReport {
+            injected,
+            delivered,
+            spurious,
+            wall: run.wall,
+            stats: run.stats,
+            trace: run.trace,
+            latencies,
+            link_samples: run.link_samples,
+            monitor,
+        }
+    }
+}
+
+/// The snapshot monitor as an app combinator: runs `app` with a
+/// [`Monitored`] composite per process on the same transport, on any
+/// backend and under chaos like any other app. Every completion writes
+/// a `"served"` marker; each of the [`MonitorConfig::initiators`]
+/// requests cuts on its schedule; decided cuts surface with the link
+/// samples of the moment, through `on_cut` as they do, and in the
+/// report's [`MonitorReport`]. On the mux backend one consistent cut
+/// spans every instance — digests are captured inside the same atomic
+/// per-instance step the scheduler serializes. Under chaos the
+/// composite (service *and* monitor plane) is corrupted, crashed and
+/// partitioned like any process, and stalled-served alerts mark every
+/// worker suspect for the supervisor.
 ///
 /// ```
-/// use snapstab_runtime::{run_monitored_mutex_service, MonitorConfig, MutexServiceConfig};
-/// use snapstab_core::spec::analyze_snapshot_trace;
+/// use snapstab_core::spec::{analyze_forwarding_trace, analyze_snapshot_trace};
+/// use snapstab_runtime::{
+///     project_service_trace, run_service, ForwardingServiceConfig, LiveCut, MonitorConfig,
+///     Monitoring, ServiceRun,
+/// };
 /// use std::time::Duration;
 ///
-/// let cfg = MutexServiceConfig {
+/// let cfg = ForwardingServiceConfig {
 ///     n: 3,
-///     requests_per_process: 2,
+///     payloads_per_process: 20,
 ///     time_budget: Duration::from_secs(30),
-///     ..MutexServiceConfig::default()
+///     ..ForwardingServiceConfig::default()
 /// };
 /// let mon = MonitorConfig {
 ///     interval: Duration::from_millis(5),
 ///     ..MonitorConfig::default()
 /// };
-/// let report = run_monitored_mutex_service(&cfg, &mon);
-/// assert_eq!(report.served, 6);
-/// let spec = analyze_snapshot_trace(&report.trace.unwrap(), 3, &[]);
-/// assert!(spec.holds());
+/// let mut streamed = 0;
+/// let mut count = |_: &LiveCut| streamed += 1;
+/// let app = Monitoring {
+///     app: &cfg,
+///     mon: &mon,
+///     on_cut: Some(&mut count),
+/// };
+/// let (report, _) = run_service(app, ServiceRun::default()).unwrap();
+/// assert_eq!(report.delivered, 60);
+/// assert_eq!(streamed, report.monitor.cuts.len());
+/// // Every decided cut passes Specification 5, the service plane
+/// // Specification 4.
+/// let trace = report.trace.unwrap();
+/// assert!(analyze_snapshot_trace(&trace, 3, &[]).holds());
+/// assert!(analyze_forwarding_trace(&project_service_trace(&trace), 3).holds());
 /// ```
-pub fn run_monitored_mutex_service(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-) -> MonitoredMutexReport {
-    run_monitored_mutex_service_on(cfg, mon, &InMemory)
-        .expect("the in-memory transport is infallible")
+pub struct Monitoring<'a, A> {
+    /// The wrapped app.
+    pub app: A,
+    /// Cut interval, initiators, alert thresholds.
+    pub mon: &'a MonitorConfig,
+    /// Called as each decided cut surfaces (the CLI's streaming
+    /// summaries).
+    pub on_cut: Option<&'a mut dyn FnMut(&LiveCut)>,
 }
 
-/// [`run_monitored_mutex_service`] over an arbitrary [`Transport`].
-pub fn run_monitored_mutex_service_on(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-) -> std::io::Result<MonitoredMutexReport> {
-    monitored_mutex_impl(cfg, mon, transport, None, &mut None, spawn_threads).map(|(r, _)| r)
-}
-
-/// [`run_monitored_mutex_service`] on the [`crate::MuxRunner`]
-/// backend: the same composite processes multiplexed over a
-/// `workers`-thread pool, in-memory links. One consistent cut spans
-/// every instance — digests are captured inside the same atomic
-/// per-instance step the mux scheduler serializes, so scaling the
-/// instance count past the thread backend's ceiling does not weaken
-/// the cut's §4.1 semantics.
-pub fn run_monitored_mutex_service_mux(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-) -> MonitoredMutexReport {
-    run_monitored_mutex_service_mux_on(cfg, mon, workers, &InMemory)
-        .expect("the in-memory transport is infallible")
-}
-
-/// [`run_monitored_mutex_service_mux`] over an arbitrary [`Transport`].
-pub fn run_monitored_mutex_service_mux_on(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-) -> std::io::Result<MonitoredMutexReport> {
-    monitored_mutex_impl(cfg, mon, transport, None, &mut None, spawn_mux(workers)).map(|(r, _)| r)
-}
-
-/// [`run_monitored_mutex_service_on`] under a live chaos schedule: the
-/// composite process (service *and* monitor plane) is corrupted,
-/// crashed and partitioned mid-run; Specification 5 must still hold on
-/// the merged trace with the report's authoritative fault steps.
-pub fn run_monitored_mutex_service_chaos_on(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(MonitoredMutexReport, ChaosReport)> {
-    monitored_mutex_impl(cfg, mon, transport, Some(plan), &mut None, spawn_threads)
-        .map(|(r, c)| (r, c.expect("chaos plan was given")))
-}
-
-/// [`run_monitored_mutex_service_chaos_on`] on the mux backend.
-pub fn run_monitored_mutex_service_chaos_mux_on(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(MonitoredMutexReport, ChaosReport)> {
-    monitored_mutex_impl(
-        cfg,
-        mon,
-        transport,
-        Some(plan),
-        &mut None,
-        spawn_mux(workers),
-    )
-    .map(|(r, c)| (r, c.expect("chaos plan was given")))
-}
-
-/// The full-control variant: optional chaos plan plus an `on_cut`
-/// callback invoked as each decided cut surfaces (the CLI's streaming
-/// summaries).
-pub fn run_monitored_mutex_service_with(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-    plan: Option<&ChaosPlan>,
-    mut on_cut: Option<&mut dyn FnMut(&LiveCut)>,
-) -> std::io::Result<(MonitoredMutexReport, Option<ChaosReport>)> {
-    monitored_mutex_impl(cfg, mon, transport, plan, &mut on_cut, spawn_threads)
-}
-
-/// [`run_monitored_mutex_service_with`] on the mux backend.
-pub fn run_monitored_mutex_service_mux_with(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-    plan: Option<&ChaosPlan>,
-    mut on_cut: Option<&mut dyn FnMut(&LiveCut)>,
-) -> std::io::Result<(MonitoredMutexReport, Option<ChaosReport>)> {
-    monitored_mutex_impl(cfg, mon, transport, plan, &mut on_cut, spawn_mux(workers))
-}
-
-fn monitored_mutex_impl<B>(
-    cfg: &MutexServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<MeMsg>>,
-    plan: Option<&ChaosPlan>,
-    on_cut: &mut Option<&mut dyn FnMut(&LiveCut)>,
-    spawn: impl FnOnce(
-        Vec<Monitored<MeProcess>>,
-        Vec<Option<Driver<Monitored<MeProcess>>>>,
-        LiveConfig,
-        &dyn Transport<MonitoredMsg<MeMsg>>,
-    ) -> std::io::Result<B>,
-) -> std::io::Result<(MonitoredMutexReport, Option<ChaosReport>)>
-where
-    B: RuntimeBackend<Monitored<MeProcess>>,
-{
-    let n = cfg.n;
-    assert!(
-        mon.initiators >= 1 && mon.initiators <= n,
-        "1 ≤ initiators ≤ n"
-    );
-    let processes: Vec<Monitored<MeProcess>> = (0..n)
-        .map(|i| {
-            let me = ProcessId::new(i);
-            let service = MeProcess::with_config(
-                me,
-                n,
-                100 + i as u64,
-                MeConfig {
-                    cs_duration: cfg.cs_duration,
-                    ..MeConfig::default()
-                },
-            );
-            Monitored::new(me, n, service)
-        })
-        .collect();
-
-    let total = cfg.requests_per_process * n as u64;
-    let injected = Arc::new(AtomicU64::new(0));
-    let served = Arc::new(AtomicU64::new(0));
-    let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-    let feed = Arc::new(MonitorFeed::new(n));
-
-    let drivers: Vec<Option<Driver<Monitored<MeProcess>>>> = (0..n)
-        .map(|i| {
-            let mut remaining = cfg.requests_per_process;
-            let mut outstanding: Option<Instant> = None;
-            let mut served_here: u64 = 0;
-            let injected = injected.clone();
-            let served = served.clone();
-            let latencies = latencies.clone();
-            let is_initiator = i < mon.initiators;
-            let me_id = ProcessId::new(i);
-            let interval = mon.interval;
-            let feed = feed.clone();
-            let mut alert_mon = AlertMonitor::new(me_id, mon.alerts);
-            // Initiator `i`'s schedule is phase-offset by `i/K` of an
-            // interval so concurrent waves desynchronize; with one
-            // initiator this is the phase-zero schedule (first cut on
-            // the first driver pass, subsequent ones every `interval`).
-            let mut next_due = Instant::now() + interval.mul_f64(i as f64 / mon.initiators as f64);
-            let hook: Driver<Monitored<MeProcess>> = Box::new(move |proc, scribe| {
-                let mut progressed = false;
-                if let Some(since) = outstanding {
-                    if proc.service().request() == RequestState::Done {
-                        served.fetch_add(1, Ordering::Relaxed);
-                        served_here += 1;
-                        // The "served" marker is what Specification 5's
-                        // causal check bounds the cut gauges against.
-                        scribe.mark("served");
-                        latencies.lock().expect("latency log").push(since.elapsed());
-                        outstanding = None;
-                        progressed = true;
-                    }
-                }
-                if outstanding.is_none()
-                    && remaining > 0
-                    && proc.service().request() == RequestState::Done
-                {
-                    scribe.mark("request");
-                    if proc.service_mut().request_cs() {
-                        remaining -= 1;
-                        outstanding = Some(Instant::now());
-                        injected.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-                proc.set_gauges(
-                    remaining.min(u64::from(u32::MAX)) as u32,
-                    u32::from(outstanding.is_some()),
-                    served_here,
-                );
-                if is_initiator {
-                    progressed |= drive_monitor(
-                        proc,
-                        scribe,
-                        &feed,
-                        me_id,
-                        interval,
-                        &mut next_due,
-                        &mut alert_mon,
-                    );
-                }
-                progressed
-            });
-            Some(hook)
-        })
-        .collect();
-
-    let record = cfg.live.record_trace;
-    let chaos_transport = plan.map(|_| ChaosTransport::new(transport, n));
-    let mut runner = match &chaos_transport {
-        Some(ct) => spawn(processes, drivers, cfg.live.clone(), ct)?,
-        None => spawn(processes, drivers, cfg.live.clone(), transport)?,
-    };
-    let mut harness = plan.map(|p| {
-        let plane = chaos_transport.as_ref().expect("wrapped above").plane();
-        ChaosHarness::new(p, plane, n, &cfg.live)
-    });
-    let mut cuts: Vec<LiveCut> = Vec::new();
-    let mut alerts_fed = 0;
-    let deadline = Instant::now() + cfg.time_budget;
-    loop {
-        absorb_cuts(&runner, &feed, &mut cuts, on_cut);
-        let work_done = served.load(Ordering::Relaxed) >= total;
-        let chaos_done = harness.as_ref().is_none_or(|h| h.done(&runner));
-        if (work_done && chaos_done) || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        if let Some(h) = harness.as_mut() {
-            h.tick(&mut runner, served.load(Ordering::Relaxed));
-            alerts_fed = feed_wedge_alerts(&feed, h, alerts_fed);
+impl<'a, A> Monitoring<'a, A> {
+    /// `app` monitored per `mon`, without a cut callback.
+    pub fn new(app: A, mon: &'a MonitorConfig) -> Self {
+        Monitoring {
+            app,
+            mon,
+            on_cut: None,
         }
     }
-    let chaos_report = harness.map(|h| h.finish(&mut runner));
-    // Sample the link table while the matrix is still alive; cuts
-    // surfacing from here on get this final table as their channel half.
-    let link_samples = runner.link_samples();
-    let mut report = runner.stop();
-    // Post-stop drain: a wave can decide after the initiator driver's
-    // last pass, leaving its outcome in the `Monitored` ledger (or a
-    // driver can feed a cut after the harness's last poll). The trace
-    // records those decisions, so the harness must collect them too —
-    // drain the returned protocol states, then flush the feed.
-    for (i, proc) in report.processes.iter_mut().enumerate() {
-        drain_outcomes(proc, &feed, ProcessId::new(i));
+}
+
+impl<A: MonitorApp> ServiceApp for Monitoring<'_, A> {
+    type Proc = Monitored<A::Proc>;
+    type Client = MonitorClient<A::Client>;
+    type Tally = MonitorTally<A::Tally>;
+    type Report = A::MonitoredReport;
+
+    fn live(&self) -> &LiveConfig {
+        self.app.live()
     }
-    flush_feed(&feed, &link_samples, &mut cuts, on_cut);
 
-    let latencies = std::mem::take(&mut *latencies.lock().expect("latency log"));
-    let monitor = monitor_report(&feed, cuts, mon.initiators, report.wall);
-    Ok((
-        MonitoredMutexReport {
-            injected: injected.load(Ordering::Relaxed),
-            served: served.load(Ordering::Relaxed),
-            wall: report.wall,
-            stats: report.stats,
-            trace: record.then_some(report.trace),
-            latencies,
-            link_samples,
-            monitor,
-        },
-        chaos_report,
-    ))
-}
+    fn time_budget(&self) -> Duration {
+        self.app.time_budget()
+    }
 
-/// Runs the forwarding service with a monitoring instance alongside,
-/// over the in-memory transport.
-pub fn run_monitored_forwarding_service(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-) -> MonitoredForwardingReport {
-    run_monitored_forwarding_service_on(cfg, mon, &InMemory)
-        .expect("the in-memory transport is infallible")
-}
+    fn build(&self) -> (Vec<Self::Proc>, Vec<Self::Client>, Self::Tally) {
+        let (services, clients, inner) = self.app.build();
+        let n = services.len();
+        let k = self.mon.initiators;
+        assert!(k >= 1 && k <= n, "1 ≤ initiators ≤ n");
+        let feed = Arc::new(MonitorFeed::new(n));
+        let processes = services
+            .into_iter()
+            .enumerate()
+            .map(|(i, service)| Monitored::new(ProcessId::new(i), n, service))
+            .collect();
+        let interval = self.mon.interval;
+        let clients = clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, inner)| MonitorClient {
+                inner,
+                served: 0,
+                // Initiator `i`'s schedule is phase-offset by `i/K` of an
+                // interval so concurrent waves desynchronize; with one
+                // initiator this is the phase-zero schedule (first cut on
+                // the first client pass, subsequent ones every
+                // `interval`).
+                initiator: (i < k).then(|| Initiator {
+                    me: ProcessId::new(i),
+                    feed: feed.clone(),
+                    interval,
+                    next_due: Instant::now() + interval.mul_f64(i as f64 / k as f64),
+                    alerts: AlertMonitor::new(ProcessId::new(i), self.mon.alerts),
+                }),
+            })
+            .collect();
+        let tally = MonitorTally {
+            inner,
+            feed,
+            cuts: Vec::new(),
+            alerts_fed: 0,
+        };
+        (processes, clients, tally)
+    }
 
-/// [`run_monitored_forwarding_service`] over an arbitrary [`Transport`].
-pub fn run_monitored_forwarding_service_on(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-) -> std::io::Result<MonitoredForwardingReport> {
-    monitored_forwarding_impl(cfg, mon, transport, None, &mut None, spawn_threads).map(|(r, _)| r)
-}
+    fn completed(&self, tally: &Self::Tally) -> u64 {
+        self.app.completed(&tally.inner)
+    }
 
-/// [`run_monitored_forwarding_service`] on the [`crate::MuxRunner`]
-/// backend with a `workers`-thread pool, in-memory links.
-pub fn run_monitored_forwarding_service_mux(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-) -> MonitoredForwardingReport {
-    run_monitored_forwarding_service_mux_on(cfg, mon, workers, &InMemory)
-        .expect("the in-memory transport is infallible")
-}
+    fn done(&self, tally: &Self::Tally) -> bool {
+        self.app.done(&tally.inner)
+    }
 
-/// [`run_monitored_forwarding_service_mux`] over an arbitrary
-/// [`Transport`].
-pub fn run_monitored_forwarding_service_mux_on(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-) -> std::io::Result<MonitoredForwardingReport> {
-    monitored_forwarding_impl(cfg, mon, transport, None, &mut None, spawn_mux(workers))
-        .map(|(r, _)| r)
-}
+    /// Surfaces newly decided cuts with the current link samples.
+    fn poll<B: RuntimeBackend<Self::Proc>>(&mut self, tally: &mut Self::Tally, runner: &B) {
+        if tally.feed.cuts.lock().expect("cut feed").is_empty() {
+            return;
+        }
+        let links = runner.link_samples();
+        flush_feed(&tally.feed, &links, &mut tally.cuts, &mut self.on_cut);
+    }
 
-/// [`run_monitored_forwarding_service_on`] under a live chaos schedule.
-pub fn run_monitored_forwarding_service_chaos_on(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(MonitoredForwardingReport, ChaosReport)> {
-    monitored_forwarding_impl(cfg, mon, transport, Some(plan), &mut None, spawn_threads)
-        .map(|(r, c)| (r, c.expect("chaos plan was given")))
-}
-
-/// [`run_monitored_forwarding_service_chaos_on`] on the mux backend.
-pub fn run_monitored_forwarding_service_chaos_mux_on(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(MonitoredForwardingReport, ChaosReport)> {
-    monitored_forwarding_impl(
-        cfg,
-        mon,
-        transport,
-        Some(plan),
-        &mut None,
-        spawn_mux(workers),
-    )
-    .map(|(r, c)| (r, c.expect("chaos plan was given")))
-}
-
-/// The full-control variant with an `on_cut` streaming callback.
-pub fn run_monitored_forwarding_service_with(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    plan: Option<&ChaosPlan>,
-    mut on_cut: Option<&mut dyn FnMut(&LiveCut)>,
-) -> std::io::Result<(MonitoredForwardingReport, Option<ChaosReport>)> {
-    monitored_forwarding_impl(cfg, mon, transport, plan, &mut on_cut, spawn_threads)
-}
-
-/// [`run_monitored_forwarding_service_with`] on the mux backend.
-pub fn run_monitored_forwarding_service_mux_with(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    workers: usize,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    plan: Option<&ChaosPlan>,
-    mut on_cut: Option<&mut dyn FnMut(&LiveCut)>,
-) -> std::io::Result<(MonitoredForwardingReport, Option<ChaosReport>)> {
-    monitored_forwarding_impl(cfg, mon, transport, plan, &mut on_cut, spawn_mux(workers))
-}
-
-fn monitored_forwarding_impl<B>(
-    cfg: &ForwardingServiceConfig,
-    mon: &MonitorConfig,
-    transport: &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    plan: Option<&ChaosPlan>,
-    on_cut: &mut Option<&mut dyn FnMut(&LiveCut)>,
-    spawn: impl FnOnce(
-        Vec<Monitored<ForwardProcess>>,
-        Vec<Option<Driver<Monitored<ForwardProcess>>>>,
-        LiveConfig,
-        &dyn Transport<MonitoredMsg<snapstab_core::forward::ForwardMsg>>,
-    ) -> std::io::Result<B>,
-) -> std::io::Result<(MonitoredForwardingReport, Option<ChaosReport>)>
-where
-    B: RuntimeBackend<Monitored<ForwardProcess>>,
-{
-    let n = cfg.n;
-    assert!(
-        mon.initiators >= 1 && mon.initiators <= n,
-        "1 ≤ initiators ≤ n"
-    );
-    let config = ForwardConfig {
-        buffer_cap: cfg.buffer_cap,
-        flag_domain: snapstab_core::flag::FlagDomain::for_capacity(cfg.live.capacity.max(1)),
-    };
-    let mut services: Vec<ForwardProcess> = (0..n)
-        .map(|i| ForwardProcess::new(ProcessId::new(i), n, config))
-        .collect();
-    if cfg.prefill_stale {
-        let mut rng = SimRng::seed_from(cfg.live.seed ^ 0x57A1_EB0F);
-        for proc in &mut services {
-            proc.prefill_stale(&mut rng);
+    /// Feeds newly fired stalled-served alerts to the supervisor as a
+    /// wedge signal: the whole service showing zero progress across
+    /// consecutive consistent cuts (with work queued) marks every worker
+    /// suspect, so the watchdog recycles any that show no fresh activity
+    /// by its next pass instead of waiting out the full wedge deadline.
+    fn chaos_ticked(&mut self, tally: &mut Self::Tally, harness: &mut ChaosHarness) {
+        let alerts = tally.feed.alerts.lock().expect("alert feed");
+        let stalled = alerts[tally.alerts_fed.min(alerts.len())..]
+            .iter()
+            .any(|a| a.kind == AlertKind::StalledServed);
+        tally.alerts_fed = alerts.len();
+        drop(alerts);
+        if stalled {
+            harness.suspect_all();
         }
     }
-    let processes: Vec<Monitored<ForwardProcess>> = services
-        .into_iter()
-        .enumerate()
-        .map(|(i, svc)| Monitored::new(ProcessId::new(i), n, svc))
-        .collect();
 
-    let workload = forward_workload(n, cfg.payloads_per_process, cfg.live.seed);
-    let total: u64 = workload.iter().map(|w| w.len() as u64).sum();
-    let injected = Arc::new(AtomicU64::new(0));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let spurious = Arc::new(AtomicU64::new(0));
-    let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-    let inject_times: Arc<Mutex<std::collections::HashMap<u64, Instant>>> =
-        Arc::new(Mutex::new(std::collections::HashMap::new()));
-    let feed = Arc::new(MonitorFeed::new(n));
-
-    let drivers: Vec<Option<Driver<Monitored<ForwardProcess>>>> = workload
-        .into_iter()
-        .enumerate()
-        .map(|(i, stream)| {
-            let mut queue: VecDeque<_> = stream.into();
-            let mut collected_here: u64 = 0;
-            let injected = injected.clone();
-            let delivered = delivered.clone();
-            let spurious = spurious.clone();
-            let inject_times = inject_times.clone();
-            let latencies = latencies.clone();
-            let is_initiator = i < mon.initiators;
-            let me_id = ProcessId::new(i);
-            let interval = mon.interval;
-            let feed = feed.clone();
-            let mut alert_mon = AlertMonitor::new(me_id, mon.alerts);
-            // Initiator `i`'s schedule is phase-offset by `i/K` of an
-            // interval (see the mutex impl).
-            let mut next_due = Instant::now() + interval.mul_f64(i as f64 / mon.initiators as f64);
-            let hook: Driver<Monitored<ForwardProcess>> = Box::new(move |proc, scribe| {
-                let mut progressed = false;
-                for payload in proc.service_mut().take_delivered() {
-                    // Every end-to-end collection counts for the gauge
-                    // and gets a "served" marker — stale flushes too, so
-                    // the cut's causal bound matches what it counts.
-                    collected_here += 1;
-                    scribe.mark("served");
-                    if payload.id & STALE_ID_BIT == 0 {
-                        delivered.fetch_add(1, Ordering::Relaxed);
-                        let since = inject_times.lock().expect("timestamps").remove(&payload.id);
-                        if let Some(since) = since {
-                            latencies.lock().expect("latency log").push(since.elapsed());
-                        }
-                    } else {
-                        spurious.fetch_add(1, Ordering::Relaxed);
-                    }
-                    progressed = true;
-                }
-                if proc.service().can_inject() {
-                    if let Some(&payload) = queue.front() {
-                        inject_times
-                            .lock()
-                            .expect("timestamps")
-                            .insert(payload.id, Instant::now());
-                        assert!(
-                            proc.service_mut().request_send(payload),
-                            "workload stays in domain"
-                        );
-                        queue.pop_front();
-                        injected.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-                let buffered = proc.service().buffered().min(u32::MAX as usize) as u32;
-                proc.set_gauges(
-                    queue.len().min(u32::MAX as usize) as u32,
-                    buffered,
-                    collected_here,
-                );
-                if is_initiator {
-                    progressed |= drive_monitor(
-                        proc,
-                        scribe,
-                        &feed,
-                        me_id,
-                        interval,
-                        &mut next_due,
-                        &mut alert_mon,
-                    );
-                }
-                progressed
-            });
-            Some(hook)
-        })
-        .collect();
-
-    let record = cfg.live.record_trace;
-    let chaos_transport = plan.map(|_| ChaosTransport::new(transport, n));
-    let mut runner = match &chaos_transport {
-        Some(ct) => spawn(processes, drivers, cfg.live.clone(), ct)?,
-        None => spawn(processes, drivers, cfg.live.clone(), transport)?,
-    };
-    let mut harness = plan.map(|p| {
-        let plane = chaos_transport.as_ref().expect("wrapped above").plane();
-        ChaosHarness::new(p, plane, n, &cfg.live)
-    });
-    let mut cuts: Vec<LiveCut> = Vec::new();
-    let mut alerts_fed = 0;
-    let deadline = Instant::now() + cfg.time_budget;
-    loop {
-        absorb_cuts(&runner, &feed, &mut cuts, on_cut);
-        let completed = delivered.load(Ordering::Relaxed) + spurious.load(Ordering::Relaxed);
-        let work_done = delivered.load(Ordering::Relaxed) >= total;
-        let chaos_done = harness.as_ref().is_none_or(|h| h.done(&runner));
-        if (work_done && chaos_done) || Instant::now() >= deadline {
-            break;
+    /// Post-stop drain: a wave can decide after the initiator client's
+    /// last pass, leaving its outcome in the `Monitored` ledger (or a
+    /// client can feed a cut after the loop's last poll). The trace
+    /// records those decisions, so the report must collect them too —
+    /// drain the returned protocol states, then flush the feed with the
+    /// final link table as every late cut's channel half.
+    fn finish(mut self, mut tally: Self::Tally, mut run: Finished<Self::Proc>) -> Self::Report {
+        for (i, proc) in run.processes.iter_mut().enumerate() {
+            for outcome in proc.take_cuts() {
+                record_outcome(&tally.feed, ProcessId::new(i), outcome);
+            }
         }
-        std::thread::sleep(Duration::from_millis(2));
-        if let Some(h) = harness.as_mut() {
-            h.tick(&mut runner, completed);
-            alerts_fed = feed_wedge_alerts(&feed, h, alerts_fed);
-        }
+        flush_feed(
+            &tally.feed,
+            &run.link_samples,
+            &mut tally.cuts,
+            &mut self.on_cut,
+        );
+        let feed = &tally.feed;
+        let initiators = self.mon.initiators;
+        let monitor = MonitorReport {
+            cuts: tally.cuts,
+            refused: feed.refused.load(Ordering::Relaxed),
+            refused_by: feed
+                .refused_by
+                .iter()
+                .take(initiators)
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect(),
+            initiators,
+            alerts: std::mem::take(&mut *feed.alerts.lock().expect("alert feed")),
+            wall: run.wall,
+        };
+        self.app.finish_monitored(tally.inner, run, monitor)
     }
-    let chaos_report = harness.map(|h| h.finish(&mut runner));
-    // Sample the link table while the matrix is still alive; cuts
-    // surfacing from here on get this final table as their channel half.
-    let link_samples = runner.link_samples();
-    let mut report = runner.stop();
-    // Post-stop drain: a wave can decide after the initiator driver's
-    // last pass, leaving its outcome in the `Monitored` ledger (or a
-    // driver can feed a cut after the harness's last poll). The trace
-    // records those decisions, so the harness must collect them too —
-    // drain the returned protocol states, then flush the feed.
-    for (i, proc) in report.processes.iter_mut().enumerate() {
-        drain_outcomes(proc, &feed, ProcessId::new(i));
-    }
-    flush_feed(&feed, &link_samples, &mut cuts, on_cut);
-
-    let latencies = std::mem::take(&mut *latencies.lock().expect("latency log"));
-    let monitor = monitor_report(&feed, cuts, mon.initiators, report.wall);
-    Ok((
-        MonitoredForwardingReport {
-            injected: injected.load(Ordering::Relaxed),
-            delivered: delivered.load(Ordering::Relaxed),
-            spurious: spurious.load(Ordering::Relaxed),
-            wall: report.wall,
-            stats: report.stats,
-            trace: record.then_some(report.trace),
-            latencies,
-            link_samples,
-            monitor,
-        },
-        chaos_report,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::LiveConfig;
+    use crate::chaos::ChaosPlan;
+    use crate::service::{run_service, Backend, ServiceRun};
+    use snapstab_core::me::MeConfig;
     use snapstab_core::spec::{analyze_me_epochs, analyze_me_trace, analyze_snapshot_trace};
 
     fn mutex_cfg(n: usize) -> MutexServiceConfig {
@@ -1521,10 +1142,24 @@ mod tests {
         }
     }
 
+    fn monitored<A: MonitorApp>(
+        app: A,
+        mon: &MonitorConfig,
+        backend: Backend,
+    ) -> A::MonitoredReport {
+        let run = ServiceRun {
+            backend,
+            ..ServiceRun::default()
+        };
+        run_service(Monitoring::new(app, mon), run)
+            .expect("in-memory")
+            .0
+    }
+
     #[test]
     fn monitored_mutex_serves_and_cuts_pass_spec5() {
         let cfg = mutex_cfg(3);
-        let report = run_monitored_mutex_service(&cfg, &fast_monitor());
+        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
         assert_eq!(report.served, 9, "monitoring must not eat requests");
         assert!(
             !report.monitor.cuts.is_empty(),
@@ -1552,7 +1187,7 @@ mod tests {
     #[test]
     fn monitored_trace_projects_to_clean_service_trace() {
         let cfg = mutex_cfg(3);
-        let report = run_monitored_mutex_service(&cfg, &fast_monitor());
+        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
         let trace = report.trace.as_ref().expect("recording on");
         let service = project_service_trace(trace);
         let me = analyze_me_trace(&service, cfg.n);
@@ -1581,9 +1216,13 @@ mod tests {
             disruption: Duration::from_millis(15),
             ..ChaosPlan::profile(ChaosMix::All, 7)
         };
-        let (report, chaos) =
-            run_monitored_mutex_service_chaos_on(&cfg, &fast_monitor(), &InMemory, &plan)
-                .expect("in-memory");
+        let mon = fast_monitor();
+        let run = ServiceRun {
+            chaos: Some(&plan),
+            ..ServiceRun::default()
+        };
+        let (report, chaos) = run_service(Monitoring::new(&cfg, &mon), run).expect("in-memory");
+        let chaos = chaos.expect("chaos plan was given");
         assert_eq!(report.served, 12, "chaos must not eat requests");
         assert_eq!(chaos.bursts_fired, 2);
         let trace = report.trace.as_ref().expect("recording on");
@@ -1607,7 +1246,7 @@ mod tests {
             live: LiveConfig::default(),
             time_budget: Duration::from_secs(45),
         };
-        let report = run_monitored_forwarding_service(&cfg, &fast_monitor());
+        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
         assert_eq!(report.delivered, 120);
         assert!(!report.monitor.cuts.is_empty());
         let trace = report.trace.as_ref().expect("recording on");
@@ -1622,7 +1261,7 @@ mod tests {
             initiators: 2,
             ..fast_monitor()
         };
-        let report = run_monitored_mutex_service(&cfg, &mon);
+        let report = monitored(&cfg, &mon, Backend::Threads);
         assert_eq!(report.served, 9, "extra initiators must not eat requests");
         assert_eq!(report.monitor.initiators, 2);
         assert!(
@@ -1667,7 +1306,7 @@ mod tests {
     #[test]
     fn monitored_mutex_on_mux_passes_spec5() {
         let cfg = mutex_cfg(4);
-        let report = run_monitored_mutex_service_mux(&cfg, &fast_monitor(), 2);
+        let report = monitored(&cfg, &fast_monitor(), Backend::Mux { workers: 2 });
         assert_eq!(report.served, 12, "monitoring must not eat requests");
         assert!(
             !report.monitor.cuts.is_empty(),
@@ -1692,7 +1331,7 @@ mod tests {
             live: LiveConfig::default(),
             time_budget: Duration::from_secs(45),
         };
-        let report = run_monitored_forwarding_service_mux(&cfg, &fast_monitor(), 2);
+        let report = monitored(&cfg, &fast_monitor(), Backend::Mux { workers: 2 });
         assert_eq!(report.delivered, 6);
         assert!(!report.monitor.cuts.is_empty());
         let trace = report.trace.as_ref().expect("recording on");

@@ -140,6 +140,7 @@ use std::time::{Duration, Instant};
 
 use snapstab_sim::{Context, ProcessId, Protocol, SendFate, SimRng, Trace, TraceEvent};
 
+use crate::link::LaneOf;
 use crate::runner::{
     Driver, LinkSample, LiveConfig, LiveReport, LiveStats, RuntimeBackend, Scribe, TraceDetail,
     WorkerStats,
@@ -471,26 +472,15 @@ where
     /// `[0, 1)`).
     pub fn spawn(processes: Vec<P>, config: LiveConfig, workers: usize) -> Self {
         let drivers = processes.iter().map(|_| None).collect();
-        Self::spawn_with_drivers(processes, drivers, config, workers)
-    }
-
-    /// Like [`MuxRunner::spawn`], with an optional driver hook per
-    /// instance run every scheduling quantum (client workload
-    /// injection).
-    pub fn spawn_with_drivers(
-        processes: Vec<P>,
-        drivers: Vec<Option<Driver<P>>>,
-        config: LiveConfig,
-        workers: usize,
-    ) -> Self {
-        Self::spawn_with_transport(processes, drivers, config, workers, &InMemory)
+        Self::spawn_with_transport(processes, drivers, config, workers, &InMemory, None)
             .expect("the in-memory transport is infallible")
     }
 
     /// Spawns the pool over an arbitrary [`Transport`] backend —
     /// in-memory links or real sockets run unchanged, exactly as under
     /// the thread backend. Fallible because a networked backend binds OS
-    /// resources.
+    /// resources. Drivers and `lanes` work as on the thread backend
+    /// ([`crate::LiveRunner::spawn_with_transport`]).
     ///
     /// # Panics
     ///
@@ -502,6 +492,7 @@ where
         config: LiveConfig,
         workers: usize,
         transport: &dyn Transport<P::Msg>,
+        lanes: Option<(usize, LaneOf<P::Msg>)>,
     ) -> std::io::Result<Self> {
         let n = processes.len();
         assert!(
@@ -510,7 +501,7 @@ where
         );
         assert!(workers >= 1, "the pool needs at least one worker");
         assert_eq!(drivers.len(), n, "one driver slot per process");
-        let links = transport.connect(n, &config, None)?;
+        let links = transport.connect(n, &config, lanes)?;
         assert_eq!(links.len(), n * n, "transport built a full link matrix");
         let counter = Arc::new(AtomicU64::new(0));
         let slots: Vec<InstanceSlot<P>> = processes
@@ -672,17 +663,7 @@ where
     }
 
     fn link_samples(&self) -> Vec<LinkSample> {
-        self.shared
-            .links
-            .iter()
-            .flatten()
-            .map(|link| LinkSample {
-                from: link.from(),
-                to: link.to(),
-                stats: link.stats(),
-                in_transit: link.len(),
-            })
-            .collect()
+        LinkSample::all(&self.shared.links)
     }
 
     /// Runs a closure against instance `p` under its lock — atomic with
@@ -742,11 +723,7 @@ where
         let mut logs = Vec::with_capacity(shared.n);
         for slot in shared.slots {
             let core = slot.core.into_inner().expect("instance poisoned");
-            stats.activations += core.stats.activations;
-            stats.effective_activations += core.stats.effective_activations;
-            stats.deliveries += core.stats.deliveries;
-            stats.protocol_events += core.stats.protocol_events;
-            stats.quanta += core.stats.quanta;
+            stats.absorb(&core.stats);
             processes.push(core.protocol);
             logs.push(core.log);
         }

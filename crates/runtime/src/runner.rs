@@ -218,6 +218,17 @@ pub struct LiveStats {
     pub wakeups: u64,
 }
 
+impl LiveStats {
+    /// Adds one worker's (or instance's) counters.
+    pub(crate) fn absorb(&mut self, w: &WorkerStats) {
+        self.activations += w.activations;
+        self.effective_activations += w.effective_activations;
+        self.deliveries += w.deliveries;
+        self.protocol_events += w.protocol_events;
+        self.quanta += w.quanta;
+    }
+}
+
 /// A point-in-time observation of one directed link, taken by
 /// [`LiveRunner::link_samples`] while the run is live: the cumulative
 /// [`LinkStats`] counters plus the instantaneous in-transit occupancy.
@@ -234,6 +245,22 @@ pub struct LinkSample {
     pub stats: LinkStats,
     /// Messages queued in the link right now.
     pub in_transit: usize,
+}
+
+impl LinkSample {
+    /// Samples every link of a matrix, in row-major `(from, to)` order.
+    pub(crate) fn all<M>(links: &LinkMatrix<M>) -> Vec<LinkSample> {
+        links
+            .iter()
+            .flatten()
+            .map(|link| LinkSample {
+                from: link.from(),
+                to: link.to(),
+                stats: link.stats(),
+                in_transit: link.len(),
+            })
+            .collect()
+    }
 }
 
 /// Everything a finished live run yields: final process states, the
@@ -332,12 +359,8 @@ where
             loop {
                 match self.commands.try_recv() {
                     Ok(Command::With(f)) => {
-                        let mut scribe = Scribe {
-                            me: self.me,
-                            counter: &self.counter,
-                            log: &mut self.log,
-                            record: self.record,
-                        };
+                        let mut scribe =
+                            Scribe::new(self.me, &self.counter, &mut self.log, self.record);
                         f(&mut self.protocol, &mut scribe);
                         commanded = true;
                     }
@@ -386,12 +409,7 @@ where
             // Client workload injection (e.g. the mutex service).
             let mut drove = false;
             if let Some(driver) = self.driver.as_mut() {
-                let mut scribe = Scribe {
-                    me: self.me,
-                    counter: &self.counter,
-                    log: &mut self.log,
-                    record: self.record,
-                };
+                let mut scribe = Scribe::new(self.me, &self.counter, &mut self.log, self.record);
                 drove = driver(&mut self.protocol, &mut scribe);
             }
 
@@ -452,7 +470,7 @@ where
 /// ```
 /// use snapstab_core::idl::IdlProcess;
 /// use snapstab_core::request::RequestState;
-/// use snapstab_runtime::{LiveConfig, LiveRunner};
+/// use snapstab_runtime::{LiveConfig, LiveRunner, RuntimeBackend};
 /// use snapstab_sim::ProcessId;
 /// use std::time::Duration;
 ///
@@ -504,81 +522,33 @@ where
     /// is out of domain (zero capacity, loss outside `[0, 1)`).
     pub fn spawn(processes: Vec<P>, config: LiveConfig) -> Self {
         let drivers = processes.iter().map(|_| None).collect();
-        Self::spawn_with_drivers(processes, drivers, config)
-    }
-
-    /// Spawns one worker thread per process, each with an optional driver
-    /// hook run every loop iteration (client workload injection).
-    ///
-    /// # Panics
-    ///
-    /// See [`LiveRunner::spawn`]; additionally if the driver list length
-    /// differs from the process count.
-    pub fn spawn_with_drivers(
-        processes: Vec<P>,
-        drivers: Vec<Option<Driver<P>>>,
-        config: LiveConfig,
-    ) -> Self {
-        Self::spawn_with_transport(processes, drivers, config, &InMemory)
-            .expect("the in-memory transport is infallible")
-    }
-
-    /// Like [`LiveRunner::spawn_with_drivers`], but every link is a
-    /// multi-lane [`crate::LiveLink::with_lanes`]: `lane_of` classifies
-    /// each message into one of `lanes` lanes, and the capacity bound
-    /// (with its §4 silent drop-on-full) is enforced per lane. This is
-    /// how the sharded mutex service shares one physical link per ordered
-    /// process pair among independent protocol instances without letting
-    /// them drop each other's messages.
-    pub fn spawn_with_drivers_laned(
-        processes: Vec<P>,
-        drivers: Vec<Option<Driver<P>>>,
-        config: LiveConfig,
-        lanes: usize,
-        lane_of: LaneOf<P::Msg>,
-    ) -> Self {
-        Self::spawn_with_transport_laned(processes, drivers, config, &InMemory, lanes, lane_of)
+        Self::spawn_with_transport(processes, drivers, config, &InMemory, None)
             .expect("the in-memory transport is infallible")
     }
 
     /// Spawns the workers over an arbitrary [`Transport`] backend — the
     /// in-memory [`InMemory`] links or real sockets (`snapstab-net`'s
     /// `UdpLoopback`). Fallible because a networked backend binds OS
-    /// resources.
+    /// resources. Each process may get a driver hook run every loop
+    /// iteration — how [`crate::run_service`] injects a client workload.
+    /// With `lanes`, `lane_of` classifies each message into
+    /// one of that many lanes and every link enforces the capacity bound
+    /// (with its §4 silent drop-on-full) per lane — how the sharded
+    /// service shares one link per ordered process pair among
+    /// independent protocol instances.
     ///
     /// # Panics
     ///
-    /// See [`LiveRunner::spawn_with_drivers`].
+    /// See [`LiveRunner::spawn`]; additionally if the driver list length
+    /// differs from the process count.
     pub fn spawn_with_transport(
         processes: Vec<P>,
         drivers: Vec<Option<Driver<P>>>,
         config: LiveConfig,
         transport: &dyn Transport<P::Msg>,
+        lanes: Option<(usize, LaneOf<P::Msg>)>,
     ) -> std::io::Result<Self> {
-        let links = transport.connect(processes.len(), &config, None)?;
-        Ok(Self::spawn_inner(processes, drivers, config, links))
-    }
-
-    /// The multi-lane variant of [`LiveRunner::spawn_with_transport`]
-    /// (see [`LiveRunner::spawn_with_drivers_laned`]).
-    pub fn spawn_with_transport_laned(
-        processes: Vec<P>,
-        drivers: Vec<Option<Driver<P>>>,
-        config: LiveConfig,
-        transport: &dyn Transport<P::Msg>,
-        lanes: usize,
-        lane_of: LaneOf<P::Msg>,
-    ) -> std::io::Result<Self> {
-        let links = transport.connect(processes.len(), &config, Some((lanes, lane_of)))?;
-        Ok(Self::spawn_inner(processes, drivers, config, links))
-    }
-
-    fn spawn_inner(
-        processes: Vec<P>,
-        drivers: Vec<Option<Driver<P>>>,
-        config: LiveConfig,
-        links: LinkMatrix<P::Msg>,
-    ) -> Self {
+        let links = transport.connect(processes.len(), &config, lanes)?;
         let n = processes.len();
         assert!(
             n >= 2,
@@ -616,7 +586,7 @@ where
             runner.handles[i] = Some(handle);
         }
         runner.started = Instant::now();
-        runner
+        Ok(runner)
     }
 
     fn spawn_worker(
@@ -667,247 +637,6 @@ where
             .name(format!("snapstab-worker-{i}"))
             .spawn(move || worker.run())
             .expect("spawn worker thread")
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Global atomic steps executed so far.
-    pub fn step_count(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
-    }
-
-    /// True if worker `p` is currently crashed.
-    pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.parked[p.index()].is_some()
-    }
-
-    /// Worker `p`'s liveness counter: deliveries plus effective
-    /// activations, bumped by the worker thread itself. A supervisor
-    /// polls this to detect *wedged* workers (no effective progress
-    /// within a deadline) without round-tripping a command through the
-    /// worker — a wedged worker might be slow to answer one.
-    pub fn activity(&self, p: ProcessId) -> u64 {
-        self.activity[p.index()].load(Ordering::Relaxed)
-    }
-
-    /// How many [`LiveRunner::crash`] calls were no-ops (worker already
-    /// crashed).
-    pub fn crash_noops(&self) -> u64 {
-        self.crash_noops
-    }
-
-    /// How many [`LiveRunner::restart`] calls were no-ops (worker not
-    /// crashed).
-    pub fn restart_noops(&self) -> u64 {
-        self.restart_noops
-    }
-
-    /// Samples every directed link *while the run is live*: cumulative
-    /// counters plus instantaneous in-transit occupancy, in row-major
-    /// `(from, to)` order. Lock-free towards the workers beyond each
-    /// link's own mutex, so sampling never pauses the fleet — this is
-    /// what the monitor attaches to each decided cut.
-    pub fn link_samples(&self) -> Vec<LinkSample> {
-        self.links
-            .iter()
-            .flatten()
-            .map(|link| LinkSample {
-                from: link.from(),
-                to: link.to(),
-                stats: link.stats(),
-                in_transit: link.len(),
-            })
-            .collect()
-    }
-
-    /// Runs a closure against process `p` with scribe access, atomically
-    /// with respect to its protocol actions, and returns its result. On a
-    /// crashed worker the closure runs directly on the parked state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker thread died abnormally (panicked protocol).
-    pub fn with_process_ctx<R, F>(&mut self, p: ProcessId, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut P, &mut Scribe<'_, P::Msg, P::Event>) -> R + Send + 'static,
-    {
-        let i = p.index();
-        if let Some(parked) = self.parked[i].as_mut() {
-            let mut scribe = Scribe {
-                me: p,
-                counter: &self.counter,
-                log: &mut parked.log,
-                record: self.config.record_trace,
-            };
-            return f(&mut parked.protocol, &mut scribe);
-        }
-        let (tx, rx) = mpsc::channel();
-        let cmd = Command::With(Box::new(
-            move |proto: &mut P, scribe: &mut Scribe<'_, _, _>| {
-                let _ = tx.send(f(proto, scribe));
-            },
-        ));
-        self.senders[i]
-            .send(cmd)
-            .expect("worker command channel closed");
-        if let Some(h) = self.handles[i].as_ref() {
-            h.thread().unpark();
-        }
-        rx.recv_timeout(Duration::from_secs(30))
-            .expect("worker did not answer within 30s")
-    }
-
-    /// Runs a closure against process `p` and returns its result.
-    pub fn with_process<R, F>(&mut self, p: ProcessId, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut P) -> R + Send + 'static,
-    {
-        self.with_process_ctx(p, move |proto, _scribe| f(proto))
-    }
-
-    /// Records a harness marker at process `p` under a fresh global step.
-    pub fn mark(&mut self, p: ProcessId, label: impl Into<String>) {
-        let label = label.into();
-        self.with_process_ctx(p, move |_proto, scribe| {
-            scribe.mark(label);
-        });
-    }
-
-    /// Polls `pred` on process `p` until it holds or `timeout` elapses.
-    /// Returns whether it held.
-    pub fn wait_until<F>(&mut self, p: ProcessId, pred: F, timeout: Duration) -> bool
-    where
-        F: Fn(&P) -> bool + Send + Sync + 'static,
-    {
-        let pred = Arc::new(pred);
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pred = pred.clone();
-            if self.with_process(p, move |proto| pred(proto)) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Kills worker `p`'s thread: the live analogue of a crash failure.
-    /// The process state and event log survive for [`LiveRunner::restart`];
-    /// messages addressed to `p` stay in its incoming links undelivered
-    /// (new sends keep hitting the capacity bound), and nothing `p` would
-    /// have sent appears — exactly the simulator's crash semantics, but
-    /// enforced by an actually-dead thread.
-    ///
-    /// Idempotent: crashing an already-crashed worker is a counted no-op
-    /// ([`LiveRunner::crash_noops`]) returning `false`, so a supervisor
-    /// and a chaos schedule can race without tearing the runner down.
-    /// Returns `true` if the worker was actually crashed by this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the worker thread itself panicked (a protocol bug).
-    pub fn crash(&mut self, p: ProcessId) -> bool {
-        let i = p.index();
-        let Some(handle) = self.handles[i].take() else {
-            self.crash_noops += 1;
-            return false;
-        };
-        // The worker exits on a disconnected command channel too, so a
-        // failed send (it already observed Stop and dropped the receiver)
-        // is fine — never panic on the race.
-        let _ = self.senders[i].send(Command::Stop);
-        handle.thread().unpark();
-        let mut report = handle.join().expect("worker panicked");
-        if self.config.record_trace {
-            let step = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-            report.log.push_marker(step, p, "crash");
-        }
-        self.parked[i] = Some(report);
-        true
-    }
-
-    /// Respawns a previously crashed worker on a fresh OS thread, resuming
-    /// from its surviving process state. Its incoming links re-register
-    /// the new thread for wake-ups; backlogged messages get delivered.
-    ///
-    /// Idempotent: restarting a never-crashed or already-restarted worker
-    /// is a counted no-op ([`LiveRunner::restart_noops`]) returning
-    /// `false`. Returns `true` if a thread was actually respawned.
-    pub fn restart(&mut self, p: ProcessId) -> bool {
-        let i = p.index();
-        let Some(mut report) = self.parked[i].take() else {
-            self.restart_noops += 1;
-            return false;
-        };
-        if self.config.record_trace {
-            let step = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-            report.log.push_marker(step, p, "restart");
-        }
-        let (tx, rx) = mpsc::channel();
-        self.senders[i] = tx;
-        let handle = self.spawn_worker(
-            i,
-            report.protocol,
-            report.log,
-            report.stats,
-            report.driver,
-            rx,
-        );
-        self.handles[i] = Some(handle);
-        true
-    }
-
-    /// Stops every worker, joins the threads, and merges the per-worker
-    /// logs into one step-ordered trace.
-    pub fn stop(mut self) -> LiveReport<P> {
-        for i in 0..self.n {
-            if self.handles[i].is_some() {
-                let _ = self.senders[i].send(Command::Stop);
-            }
-        }
-        let mut reports: Vec<WorkerReport<P>> = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            if let Some(h) = self.handles[i].take() {
-                h.thread().unpark();
-                reports.push(h.join().expect("worker panicked"));
-            } else {
-                reports.push(self.parked[i].take().expect("crashed worker state"));
-            }
-        }
-        let wall = self.started.elapsed();
-        let mut stats = LiveStats {
-            steps: self.counter.load(Ordering::Relaxed),
-            ..LiveStats::default()
-        };
-        for r in &reports {
-            stats.activations += r.stats.activations;
-            stats.effective_activations += r.stats.effective_activations;
-            stats.deliveries += r.stats.deliveries;
-            stats.protocol_events += r.stats.protocol_events;
-            stats.quanta += r.stats.quanta;
-        }
-        for link in self.links.iter().flatten() {
-            stats.links.absorb(link.stats());
-        }
-        let mut processes = Vec::with_capacity(self.n);
-        let mut logs = Vec::with_capacity(self.n);
-        for r in reports {
-            processes.push(r.protocol);
-            logs.push(r.log);
-        }
-        LiveReport {
-            processes,
-            trace: Trace::merged(logs),
-            stats,
-            wall,
-        }
     }
 }
 
@@ -1020,52 +749,191 @@ where
     P::Msg: Send,
     P::Event: Send,
 {
+    /// Number of processes.
     fn n(&self) -> usize {
-        LiveRunner::n(self)
+        self.n
     }
 
+    /// Global atomic steps executed so far.
     fn step_count(&self) -> u64 {
-        LiveRunner::step_count(self)
+        self.counter.load(Ordering::Relaxed)
     }
 
+    /// True if worker `p` is currently crashed.
     fn is_crashed(&self, p: ProcessId) -> bool {
-        LiveRunner::is_crashed(self, p)
+        self.parked[p.index()].is_some()
     }
 
+    /// Worker `p`'s liveness counter: deliveries plus effective
+    /// activations, bumped by the worker thread itself. A supervisor
+    /// polls this to detect *wedged* workers (no effective progress
+    /// within a deadline) without round-tripping a command through the
+    /// worker — a wedged worker might be slow to answer one.
     fn activity(&self, p: ProcessId) -> u64 {
-        LiveRunner::activity(self, p)
+        self.activity[p.index()].load(Ordering::Relaxed)
     }
 
-    fn crash(&mut self, p: ProcessId) -> bool {
-        LiveRunner::crash(self, p)
-    }
-
-    fn restart(&mut self, p: ProcessId) -> bool {
-        LiveRunner::restart(self, p)
-    }
-
+    /// How many [`LiveRunner::crash`] calls were no-ops (worker already
+    /// crashed).
     fn crash_noops(&self) -> u64 {
-        LiveRunner::crash_noops(self)
+        self.crash_noops
     }
 
+    /// How many [`LiveRunner::restart`] calls were no-ops (worker not
+    /// crashed).
     fn restart_noops(&self) -> u64 {
-        LiveRunner::restart_noops(self)
+        self.restart_noops
     }
 
+    /// Samples every directed link *while the run is live*: cumulative
+    /// counters plus instantaneous in-transit occupancy, in row-major
+    /// `(from, to)` order. Lock-free towards the workers beyond each
+    /// link's own mutex, so sampling never pauses the fleet — this is
+    /// what the monitor attaches to each decided cut.
     fn link_samples(&self) -> Vec<LinkSample> {
-        LiveRunner::link_samples(self)
+        LinkSample::all(&self.links)
     }
 
+    /// Runs a closure against process `p` with scribe access, atomically
+    /// with respect to its protocol actions, and returns its result. On a
+    /// crashed worker the closure runs directly on the parked state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker thread died abnormally (panicked protocol).
     fn with_process_ctx<R, F>(&mut self, p: ProcessId, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut P, &mut Scribe<'_, P::Msg, P::Event>) -> R + Send + 'static,
     {
-        LiveRunner::with_process_ctx(self, p, f)
+        let i = p.index();
+        if let Some(parked) = self.parked[i].as_mut() {
+            let mut scribe =
+                Scribe::new(p, &self.counter, &mut parked.log, self.config.record_trace);
+            return f(&mut parked.protocol, &mut scribe);
+        }
+        let (tx, rx) = mpsc::channel();
+        let cmd = Command::With(Box::new(
+            move |proto: &mut P, scribe: &mut Scribe<'_, _, _>| {
+                let _ = tx.send(f(proto, scribe));
+            },
+        ));
+        self.senders[i]
+            .send(cmd)
+            .expect("worker command channel closed");
+        if let Some(h) = self.handles[i].as_ref() {
+            h.thread().unpark();
+        }
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("worker did not answer within 30s")
     }
 
-    fn stop(self) -> LiveReport<P> {
-        LiveRunner::stop(self)
+    /// Kills worker `p`'s thread: the live analogue of a crash failure.
+    /// The process state and event log survive for [`LiveRunner::restart`];
+    /// messages addressed to `p` stay in its incoming links undelivered
+    /// (new sends keep hitting the capacity bound), and nothing `p` would
+    /// have sent appears — exactly the simulator's crash semantics, but
+    /// enforced by an actually-dead thread.
+    ///
+    /// Idempotent: crashing an already-crashed worker is a counted no-op
+    /// ([`LiveRunner::crash_noops`]) returning `false`, so a supervisor
+    /// and a chaos schedule can race without tearing the runner down.
+    /// Returns `true` if the worker was actually crashed by this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics only if the worker thread itself panicked (a protocol bug).
+    fn crash(&mut self, p: ProcessId) -> bool {
+        let i = p.index();
+        let Some(handle) = self.handles[i].take() else {
+            self.crash_noops += 1;
+            return false;
+        };
+        // The worker exits on a disconnected command channel too, so a
+        // failed send (it already observed Stop and dropped the receiver)
+        // is fine — never panic on the race.
+        let _ = self.senders[i].send(Command::Stop);
+        handle.thread().unpark();
+        let mut report = handle.join().expect("worker panicked");
+        if self.config.record_trace {
+            let step = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
+            report.log.push_marker(step, p, "crash");
+        }
+        self.parked[i] = Some(report);
+        true
+    }
+
+    /// Respawns a previously crashed worker on a fresh OS thread, resuming
+    /// from its surviving process state. Its incoming links re-register
+    /// the new thread for wake-ups; backlogged messages get delivered.
+    ///
+    /// Idempotent: restarting a never-crashed or already-restarted worker
+    /// is a counted no-op ([`LiveRunner::restart_noops`]) returning
+    /// `false`. Returns `true` if a thread was actually respawned.
+    fn restart(&mut self, p: ProcessId) -> bool {
+        let i = p.index();
+        let Some(mut report) = self.parked[i].take() else {
+            self.restart_noops += 1;
+            return false;
+        };
+        if self.config.record_trace {
+            let step = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
+            report.log.push_marker(step, p, "restart");
+        }
+        let (tx, rx) = mpsc::channel();
+        self.senders[i] = tx;
+        let handle = self.spawn_worker(
+            i,
+            report.protocol,
+            report.log,
+            report.stats,
+            report.driver,
+            rx,
+        );
+        self.handles[i] = Some(handle);
+        true
+    }
+
+    /// Stops every worker, joins the threads, and merges the per-worker
+    /// logs into one step-ordered trace.
+    fn stop(mut self) -> LiveReport<P> {
+        for i in 0..self.n {
+            if self.handles[i].is_some() {
+                let _ = self.senders[i].send(Command::Stop);
+            }
+        }
+        let mut reports: Vec<WorkerReport<P>> = Vec::with_capacity(self.n);
+        for i in 0..self.n {
+            if let Some(h) = self.handles[i].take() {
+                h.thread().unpark();
+                reports.push(h.join().expect("worker panicked"));
+            } else {
+                reports.push(self.parked[i].take().expect("crashed worker state"));
+            }
+        }
+        let wall = self.started.elapsed();
+        let mut stats = LiveStats {
+            steps: self.counter.load(Ordering::Relaxed),
+            ..LiveStats::default()
+        };
+        for r in &reports {
+            stats.absorb(&r.stats);
+        }
+        for link in self.links.iter().flatten() {
+            stats.links.absorb(link.stats());
+        }
+        let mut processes = Vec::with_capacity(self.n);
+        let mut logs = Vec::with_capacity(self.n);
+        for r in reports {
+            processes.push(r.protocol);
+            logs.push(r.log);
+        }
+        LiveReport {
+            processes,
+            trace: Trace::merged(logs),
+            stats,
+            wall,
+        }
     }
 }
 

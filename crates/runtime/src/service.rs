@@ -1,27 +1,34 @@
-//! The service front-ends: a single-leader [`MeProcess`] mutex service
-//! ([`run_mutex_service`]), its sharded, batching generalization
-//! ([`run_sharded_service`]), and the end-to-end message-forwarding
-//! service ([`run_forwarding_service`]).
+//! One way to run a live service. An *app* says what runs — the
+//! protocol, one closed-loop client per process, the report it yields —
+//! and a [`ServiceRun`] says how: on which [`Backend`], over which
+//! [`Transport`], under which [`ChaosPlan`] if any. [`run_service`] is
+//! the one driver for every combination: it builds the app, wraps the
+//! transport in a [`ChaosTransport`] when a plan is given, spawns the
+//! backend, supervises the run until the workload completes (and the
+//! chaos schedule drained) or the budget expires, and hands the stopped
+//! run back to the app to report.
 //!
-//! The single-leader service runs one [`MeProcess`] (Algorithm 3) per
-//! worker thread and gives every worker a driver hook holding a queue of
-//! client critical-section requests: whenever the process's `Request`
-//! variable is `Done` and requests remain, the driver marks `"request"`
-//! in the log, calls `request_cs()`, and times the service latency. This
-//! is the front-end the ROADMAP's "heavy concurrent traffic" north star
-//! asks for: a high-volume request stream served by the paper's protocol
-//! under genuine thread interleavings and message loss.
+//! Three apps ship here, and [`crate::monitor::Monitoring`] wraps the
+//! first and the last with a snapshot monitor:
 //!
-//! Its throughput is protocol-bound — one grant per leader `Value`
-//! rotation — so the **sharded service** multiplies it: every worker
-//! hosts `S` independent protocol instances ([`ShardedMe`], leaders
-//! spread round-robin), the resource space is hash-partitioned across
-//! them ([`snapstab_core::shard::shard_of`]), and each grant serves a
-//! whole batch of non-conflicting client requests
-//! ([`snapstab_core::request::BatchQueue`]). A shared [`GrantLog`]
-//! records every batch for the service-level audit, and
-//! [`snapstab_core::shard::project_shard_trace`] slices the merged trace
-//! into per-shard traces for the Specification 3 checkers.
+//! * [`MutexServiceConfig`] — a single-leader [`MeProcess`] mutex
+//!   service. Every process's client holds a queue of critical-section
+//!   requests: whenever the process's `Request` variable is `Done` and
+//!   requests remain, it marks `"request"` in the log, calls
+//!   `request_cs()`, and times the service latency.
+//! * [`ShardedServiceConfig`] — its sharded, batching generalization.
+//!   The single-leader service is protocol-bound (one grant per leader
+//!   `Value` rotation); here every process hosts `S` independent
+//!   protocol instances ([`ShardedMe`], leaders spread round-robin), the
+//!   resource space is hash-partitioned across them
+//!   ([`snapstab_core::shard::shard_of`]), and each grant serves a whole
+//!   batch of non-conflicting client requests
+//!   ([`snapstab_core::request::BatchQueue`]). A shared [`GrantLog`]
+//!   records every batch for the service-level audit, and
+//!   [`snapstab_core::shard::project_shard_trace`] slices the merged
+//!   trace into per-shard traces for the Specification 3 checkers.
+//! * [`ForwardingServiceConfig`] — end-to-end message forwarding
+//!   ([`ForwardProcess`]) with per-process injection queues.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,24 +36,337 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use snapstab_core::forward::{
-    forward_workload, ForwardConfig, ForwardEvent, ForwardMsg, ForwardProcess, STALE_ID_BIT,
+    forward_workload, ForwardConfig, ForwardEvent, ForwardMsg, ForwardProcess, Payload,
+    STALE_ID_BIT,
 };
 use snapstab_core::me::{MeConfig, MeEvent, MeMsg, MeProcess};
-use snapstab_core::request::{ClientRequest, RequestState};
+use snapstab_core::request::{BatchQueue, ClientRequest, RequestState};
 use snapstab_core::shard::{
     inject_requests, shard_marker, GrantAudit, GrantLog, ShardedMe, ShardedMeEvent, ShardedMeMsg,
 };
 use snapstab_sim::{ProcessId, Protocol, SimRng, Trace};
 
-use crate::chaos::{ChaosHarness, ChaosPlan, ChaosReport, ChaosTransport};
+use crate::chaos::{ChaosHarness, ChaosPlan, ChaosReport, ChaosTransport, FaultPlane};
+use crate::link::LaneOf;
 use crate::mux::MuxRunner;
-use crate::runner::{Driver, LiveConfig, LiveRunner, LiveStats, RuntimeBackend};
+use crate::runner::{
+    Driver, LinkSample, LiveConfig, LiveRunner, LiveStats, RuntimeBackend, Scribe,
+};
 use crate::transport::{InMemory, Transport};
 
-/// Configuration of a mutex-service run.
+/// The runtime backend a service runs on. Every app runs on either —
+/// here the sharded service on the mux pool, its per-shard capacity
+/// lanes reaching the transport exactly as on threads:
+///
+/// ```
+/// use snapstab_core::shard::project_shard_trace;
+/// use snapstab_core::spec::analyze_me_trace;
+/// use snapstab_runtime::{run_service, Backend, ServiceRun, ShardedServiceConfig};
+/// use std::time::Duration;
+///
+/// let cfg = ShardedServiceConfig {
+///     n: 3,          // processes
+///     shards: 2,     // independent leaders
+///     batch: 2,      // max client requests per grant
+///     requests_per_process: 4,
+///     time_budget: Duration::from_secs(30),
+///     ..ShardedServiceConfig::default()
+/// };
+/// let run = ServiceRun {
+///     backend: Backend::Mux { workers: 2 },
+///     ..ServiceRun::default()
+/// };
+/// let (report, _) = run_service(&cfg, run).unwrap();
+/// assert_eq!(report.served, 12);
+/// // The grant log audits the composition: conflict-free batches,
+/// // correct shard routing, every request served exactly once; each
+/// // shard's projection of the merged trace passes Specification 3.
+/// assert!(report.audit().holds());
+/// let trace = report.trace.unwrap();
+/// for s in 0..2 {
+///     assert!(analyze_me_trace(&project_shard_trace(&trace, s), 3).exclusivity_holds());
+/// }
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Backend {
+    /// One OS thread per process ([`LiveRunner`]).
+    Threads,
+    /// The processes multiplexed over a pool of `workers` threads
+    /// ([`MuxRunner`]).
+    Mux {
+        /// Pool size (at least 1).
+        workers: usize,
+    },
+}
+
+/// How to run a service: the backend, the transport, and an optional
+/// chaos schedule. The default is the thread backend over the in-memory
+/// transport, without chaos.
+pub struct ServiceRun<'a, M> {
+    /// Thread-per-process or the mux pool.
+    pub backend: Backend,
+    /// The message substrate ([`InMemory`], `snapstab-net`'s
+    /// `UdpLoopback`, …).
+    pub transport: &'a dyn Transport<M>,
+    /// Mid-run fault bursts: the transport is wrapped in a
+    /// [`ChaosTransport`] and a [`ChaosHarness`] injects the plan while
+    /// the clients run. The run then continues until the workload is
+    /// done **and** the schedule has drained, so every planned burst
+    /// really lands.
+    pub chaos: Option<&'a ChaosPlan>,
+}
+
+impl<M: Send + 'static> Default for ServiceRun<'_, M> {
+    fn default() -> Self {
+        ServiceRun {
+            backend: Backend::Threads,
+            transport: &InMemory,
+            chaos: None,
+        }
+    }
+}
+
+/// The trace capabilities a [`Client`] step gets: harness marks, plus
+/// the completion hook through which a wrapping app
+/// ([`crate::monitor::Monitoring`]) observes the workload. A [`Scribe`]
+/// is the plain sink: it writes marks and ignores completions.
+pub trait Marks {
+    /// The process the client drives.
+    fn me(&self) -> ProcessId;
+
+    /// Records a harness marker under a fresh global step; returns the
+    /// step.
+    fn mark(&mut self, label: impl Into<String>) -> u64;
+
+    /// Called once per request or payload, at the point it completes.
+    fn completed(&mut self);
+}
+
+impl<M, E> Marks for Scribe<'_, M, E> {
+    fn me(&self) -> ProcessId {
+        Scribe::me(self)
+    }
+
+    fn mark(&mut self, label: impl Into<String>) -> u64 {
+        Scribe::mark(self, label)
+    }
+
+    fn completed(&mut self) {}
+}
+
+/// One process's closed-loop client, run once per scheduling quantum
+/// between message draining and the activation.
+pub trait Client<P>: Send + 'static {
+    /// Collects what completed at `proc` and injects more work. Returns
+    /// whether it made progress (which keeps the process hot).
+    fn step(&mut self, proc: &mut P, marks: &mut impl Marks) -> bool;
+}
+
+/// A client whose workload a monitoring digest can report.
+pub trait Gauged<P> {
+    /// `(queue depth, in flight)` of this client's workload.
+    fn gauges(&self, proc: &P) -> (u32, u32);
+}
+
+/// The wire message type of an app's processes.
+pub type Msg<A> = <<A as ServiceApp>::Proc as Protocol>::Msg;
+
+/// What [`run_service`] hands an app once the backend has stopped.
+pub struct Finished<P: Protocol> {
+    /// Final process states, in id order.
+    pub processes: Vec<P>,
+    /// The merged trace (`None` when recording was off).
+    pub trace: Option<Trace<P::Msg, P::Event>>,
+    /// Aggregate runtime counters.
+    pub stats: LiveStats,
+    /// Wall-clock duration of the run.
+    pub wall: Duration,
+    /// Per-link counters sampled just before shutdown.
+    pub link_samples: Vec<LinkSample>,
+}
+
+/// A workload [`run_service`] can run: the processes, their clients,
+/// the progress the supervision loop waits on, and the report.
+pub trait ServiceApp {
+    /// The protocol every process runs.
+    type Proc: Protocol<Msg: Send, Event: Send> + Send + 'static;
+    /// The per-process client.
+    type Client: Client<Self::Proc>;
+    /// The supervision loop's handle on the run: the counters and logs
+    /// the clients fill.
+    type Tally;
+    /// What a run yields.
+    type Report;
+
+    /// Transport and scheduling configuration.
+    fn live(&self) -> &LiveConfig;
+
+    /// Wall-clock budget of the run.
+    fn time_budget(&self) -> Duration;
+
+    /// Capacity lanes per link, if the app's processes share links
+    /// among independent protocol instances (see
+    /// [`crate::LiveLink::with_lanes`]).
+    fn lanes(&self) -> Option<(usize, LaneOf<Msg<Self>>)> {
+        None
+    }
+
+    /// The processes, one client per process, and the tally.
+    fn build(&self) -> (Vec<Self::Proc>, Vec<Self::Client>, Self::Tally);
+
+    /// End-to-end completions so far (chaos recovery is timed on them).
+    fn completed(&self, tally: &Self::Tally) -> u64;
+
+    /// True once the workload is done.
+    fn done(&self, tally: &Self::Tally) -> bool;
+
+    /// Run at the top of every supervision pass.
+    fn poll<B: RuntimeBackend<Self::Proc>>(&mut self, _tally: &mut Self::Tally, _runner: &B) {}
+
+    /// Run after every chaos harness tick.
+    fn chaos_ticked(&mut self, _tally: &mut Self::Tally, _harness: &mut ChaosHarness) {}
+
+    /// Builds the report of the stopped run.
+    fn finish(self, tally: Self::Tally, run: Finished<Self::Proc>) -> Self::Report;
+}
+
+/// Runs `app` the way `run` says and returns the app's report, plus the
+/// [`ChaosReport`] when a plan was given (its `fault_steps` are the
+/// authoritative fault marks `snapstab_core::spec::analyze_me_epochs` /
+/// `analyze_forwarding_epochs` split the merged trace at). Fallible
+/// because a networked transport binds OS resources; the in-memory one
+/// cannot fail.
+///
+/// ```
+/// use snapstab_core::spec::analyze_me_trace;
+/// use snapstab_runtime::{run_service, Backend, MutexServiceConfig, ServiceRun};
+/// use std::time::Duration;
+///
+/// let cfg = MutexServiceConfig {
+///     n: 3,
+///     requests_per_process: 2,
+///     time_budget: Duration::from_secs(30),
+///     ..MutexServiceConfig::default()
+/// };
+/// let run = ServiceRun {
+///     backend: Backend::Mux { workers: 2 },
+///     ..ServiceRun::default()
+/// };
+/// let (report, chaos) = run_service(&cfg, run).unwrap();
+/// assert!(chaos.is_none());
+/// assert_eq!(report.served, 6);
+/// assert!(report.requests_per_sec() > 0.0);
+/// // The merged live trace passes executable Specification 3.
+/// assert!(analyze_me_trace(&report.trace.unwrap(), 3).exclusivity_holds());
+/// ```
+pub fn run_service<A: ServiceApp>(
+    app: A,
+    run: ServiceRun<'_, Msg<A>>,
+) -> std::io::Result<(A::Report, Option<ChaosReport>)> {
+    let (processes, clients, tally) = app.build();
+    let n = processes.len();
+    let drivers: Vec<Option<Driver<A::Proc>>> = clients
+        .into_iter()
+        .map(|mut client| {
+            let driver: Driver<A::Proc> = Box::new(move |proc, scribe| client.step(proc, scribe));
+            Some(driver)
+        })
+        .collect();
+    let live = app.live().clone();
+    let lanes = app.lanes();
+    let chaos_transport = run.chaos.map(|_| ChaosTransport::new(run.transport, n));
+    let transport = match &chaos_transport {
+        Some(ct) => ct,
+        None => run.transport,
+    };
+    let chaos = run.chaos.zip(chaos_transport.as_ref().map(|ct| ct.plane()));
+    Ok(match run.backend {
+        Backend::Threads => {
+            let runner =
+                LiveRunner::spawn_with_transport(processes, drivers, live, transport, lanes)?;
+            supervise(app, tally, runner, chaos)
+        }
+        Backend::Mux { workers } => {
+            let runner = MuxRunner::spawn_with_transport(
+                processes, drivers, live, workers, transport, lanes,
+            )?;
+            supervise(app, tally, runner, chaos)
+        }
+    })
+}
+
+/// The supervision loop: every 2 ms, tick the chaos harness (if any)
+/// until the workload is done and the schedule drained, or the budget
+/// expires; then heal, sample the links while the matrix is alive, and
+/// stop.
+fn supervise<A, B>(
+    mut app: A,
+    mut tally: A::Tally,
+    mut runner: B,
+    chaos: Option<(&ChaosPlan, FaultPlane)>,
+) -> (A::Report, Option<ChaosReport>)
+where
+    A: ServiceApp,
+    B: RuntimeBackend<A::Proc>,
+{
+    let mut harness =
+        chaos.map(|(plan, plane)| ChaosHarness::new(plan, plane, runner.n(), app.live()));
+    let deadline = Instant::now() + app.time_budget();
+    loop {
+        app.poll(&mut tally, &runner);
+        let work_done = app.done(&tally);
+        let chaos_done = harness.as_ref().is_none_or(|h| h.done(&runner));
+        if (work_done && chaos_done) || Instant::now() >= deadline {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        if let Some(h) = harness.as_mut() {
+            // Recovery is judged on *any* end-to-end completion.
+            h.tick(&mut runner, app.completed(&tally));
+            app.chaos_ticked(&mut tally, h);
+        }
+    }
+    let chaos_report = harness.map(|h| h.finish(&mut runner));
+    let link_samples = runner.link_samples();
+    let record = app.live().record_trace;
+    let report = runner.stop();
+    let finished = Finished {
+        processes: report.processes,
+        trace: record.then_some(report.trace),
+        stats: report.stats,
+        wall: report.wall,
+        link_samples,
+    };
+    (app.finish(tally, finished), chaos_report)
+}
+
+/// The nearest-rank quantiles (each in 0.0–1.0) of a sample, if it is
+/// non-empty — one sort feeds all of them.
+pub fn quantiles(samples: &[Duration], qs: &[f64]) -> Option<Vec<Duration>> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut v = samples.to_vec();
+    v.sort_unstable();
+    Some(
+        qs.iter()
+            .map(|q| v[((v.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize])
+            .collect(),
+    )
+}
+
+/// `(min, mean, max)` of a latency sample, if it is non-empty.
+pub fn min_mean_max(latencies: &[Duration]) -> Option<(Duration, Duration, Duration)> {
+    let min = *latencies.iter().min()?;
+    let max = *latencies.iter().max()?;
+    let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
+    Some((min, mean, max))
+}
+
+/// Configuration of a mutex-service run — the single-leader mutex app.
 #[derive(Clone, Debug)]
 pub struct MutexServiceConfig {
-    /// Number of processes (= worker threads).
+    /// Number of processes.
     pub n: usize,
     /// Client requests queued per process.
     pub requests_per_process: u64,
@@ -94,15 +414,7 @@ pub struct ServiceReport {
     pub latencies: Vec<Duration>,
     /// Per-link counters sampled just before shutdown — the same
     /// drop/reorder/in-transit table for every transport backend.
-    pub link_samples: Vec<crate::runner::LinkSample>,
-}
-
-/// `(min, mean, max)` of a latency sample, if it is non-empty.
-fn min_mean_max(latencies: &[Duration]) -> Option<(Duration, Duration, Duration)> {
-    let min = *latencies.iter().min()?;
-    let max = *latencies.iter().max()?;
-    let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
-    Some((min, mean, max))
+    pub link_samples: Vec<LinkSample>,
 }
 
 impl ServiceReport {
@@ -127,242 +439,183 @@ impl ServiceReport {
     }
 }
 
-/// Runs a mutual-exclusion service workload to completion (all requests
-/// served) or to the time budget.
-///
-/// ```
-/// use snapstab_runtime::{run_mutex_service, MutexServiceConfig};
-/// use std::time::Duration;
-///
-/// let report = run_mutex_service(&MutexServiceConfig {
-///     n: 3,
-///     requests_per_process: 1,
-///     time_budget: Duration::from_secs(30),
-///     ..MutexServiceConfig::default()
-/// });
-/// assert_eq!(report.served, 3);
-/// assert!(report.requests_per_sec() > 0.0);
-/// ```
-pub fn run_mutex_service(cfg: &MutexServiceConfig) -> ServiceReport {
-    run_mutex_service_on(cfg, &InMemory).expect("the in-memory transport is infallible")
+/// The mutex app's counters, filled by its clients.
+pub struct MutexTally {
+    total: u64,
+    injected: AtomicU64,
+    served: AtomicU64,
+    latencies: Mutex<Vec<Duration>>,
 }
 
-/// [`run_mutex_service`] over an arbitrary [`Transport`] backend (e.g.
-/// `snapstab-net`'s `UdpLoopback`). Fallible because a networked backend
-/// binds OS resources; the in-memory path cannot fail.
-pub fn run_mutex_service_on(
-    cfg: &MutexServiceConfig,
-    transport: &dyn Transport<MeMsg>,
-) -> std::io::Result<ServiceReport> {
-    mutex_service_impl(cfg, transport, None, spawn_threads).map(|(report, _)| report)
+impl MutexTally {
+    /// `(injected, served, latencies)`, draining the latency log.
+    pub(crate) fn take(&self) -> (u64, u64, Vec<Duration>) {
+        (
+            self.injected.load(Ordering::Relaxed),
+            self.served.load(Ordering::Relaxed),
+            std::mem::take(&mut *self.latencies.lock().expect("latency log")),
+        )
+    }
 }
 
-/// [`run_mutex_service`] on the event-driven [`MuxRunner`] backend:
-/// `cfg.n` protocol instances multiplexed over `workers` pool threads,
-/// in-memory links. Same workload, drivers, stamping and report shape as
-/// the thread backend — the cross-backend conformance suite holds both
-/// to the same Specification 3.
-pub fn run_mutex_service_mux(cfg: &MutexServiceConfig, workers: usize) -> ServiceReport {
-    run_mutex_service_mux_on(cfg, workers, &InMemory)
-        .expect("the in-memory transport is infallible")
+/// The mutex app's client: one request at a time, until its queue is
+/// empty.
+pub struct MutexClient {
+    remaining: u64,
+    outstanding: Option<Instant>,
+    tally: Arc<MutexTally>,
 }
 
-/// [`run_mutex_service_mux`] over an arbitrary [`Transport`] backend.
+impl Client<MeProcess> for MutexClient {
+    fn step(&mut self, proc: &mut MeProcess, marks: &mut impl Marks) -> bool {
+        let mut progressed = false;
+        if let Some(since) = self.outstanding {
+            if proc.request() == RequestState::Done {
+                self.tally.served.fetch_add(1, Ordering::Relaxed);
+                marks.completed();
+                self.tally
+                    .latencies
+                    .lock()
+                    .expect("latency log")
+                    .push(since.elapsed());
+                self.outstanding = None;
+                progressed = true;
+            }
+        }
+        if self.outstanding.is_none() && self.remaining > 0 && proc.request() == RequestState::Done
+        {
+            marks.mark("request");
+            if proc.request_cs() {
+                self.remaining -= 1;
+                self.outstanding = Some(Instant::now());
+                self.tally.injected.fetch_add(1, Ordering::Relaxed);
+                progressed = true;
+            }
+        }
+        progressed
+    }
+}
+
+impl Gauged<MeProcess> for MutexClient {
+    fn gauges(&self, _proc: &MeProcess) -> (u32, u32) {
+        (
+            self.remaining.min(u64::from(u32::MAX)) as u32,
+            u32::from(self.outstanding.is_some()),
+        )
+    }
+}
+
+impl ServiceApp for &MutexServiceConfig {
+    type Proc = MeProcess;
+    type Client = MutexClient;
+    type Tally = Arc<MutexTally>;
+    type Report = ServiceReport;
+
+    fn live(&self) -> &LiveConfig {
+        &self.live
+    }
+
+    fn time_budget(&self) -> Duration {
+        self.time_budget
+    }
+
+    fn build(&self) -> (Vec<MeProcess>, Vec<MutexClient>, Arc<MutexTally>) {
+        let n = self.n;
+        let config = MeConfig {
+            cs_duration: self.cs_duration,
+            ..MeConfig::default()
+        };
+        let processes = (0..n)
+            .map(|i| MeProcess::with_config(ProcessId::new(i), n, 100 + i as u64, config))
+            .collect();
+        let tally = Arc::new(MutexTally {
+            total: self.requests_per_process * n as u64,
+            injected: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            latencies: Mutex::new(Vec::new()),
+        });
+        let clients = (0..n)
+            .map(|_| MutexClient {
+                remaining: self.requests_per_process,
+                outstanding: None,
+                tally: tally.clone(),
+            })
+            .collect();
+        (processes, clients, tally)
+    }
+
+    fn completed(&self, tally: &Arc<MutexTally>) -> u64 {
+        tally.served.load(Ordering::Relaxed)
+    }
+
+    fn done(&self, tally: &Arc<MutexTally>) -> bool {
+        self.completed(tally) >= tally.total
+    }
+
+    fn finish(self, tally: Arc<MutexTally>, run: Finished<MeProcess>) -> ServiceReport {
+        let cs_entries = run.processes.iter().map(|m| m.counters().cs_entries).sum();
+        let (injected, served, latencies) = tally.take();
+        ServiceReport {
+            injected,
+            served,
+            cs_entries,
+            wall: run.wall,
+            stats: run.stats,
+            trace: run.trace,
+            processes: run.processes,
+            latencies,
+            link_samples: run.link_samples,
+        }
+    }
+}
+
+/// The mutex app on the mux backend over `transport` (the repo
+/// benchmark calls it by this name).
 pub fn run_mutex_service_mux_on(
     cfg: &MutexServiceConfig,
     workers: usize,
     transport: &dyn Transport<MeMsg>,
 ) -> std::io::Result<ServiceReport> {
-    mutex_service_impl(cfg, transport, None, spawn_mux(workers)).map(|(report, _)| report)
+    run_service(cfg, on_mux(workers, transport, None)).map(|(report, _)| report)
 }
 
-/// [`run_mutex_service_on`] under a live chaos schedule: the transport is
-/// wrapped in a [`ChaosTransport`] and a [`ChaosHarness`] injects the
-/// plan's fault bursts *mid-run* — state corruption, crash storms healed
-/// by the supervisor's adversarially corrupted restarts, partitions and
-/// drop storms — while the client workload runs. The loop continues until
-/// every request is served **and** the schedule has drained (so every
-/// planned burst really lands), or the time budget expires. The returned
-/// [`ChaosReport`] carries the authoritative fault steps for
-/// `snapstab_core::spec::analyze_me_epochs` over the merged trace.
-pub fn run_mutex_service_chaos_on(
-    cfg: &MutexServiceConfig,
-    transport: &dyn Transport<MeMsg>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(ServiceReport, ChaosReport)> {
-    mutex_service_impl(cfg, transport, Some(plan), spawn_threads)
-        .map(|(report, chaos)| (report, chaos.expect("chaos plan was given")))
-}
-
-/// [`run_mutex_service_chaos_on`] on the [`MuxRunner`] backend: the same
-/// fault schedule, but crash bursts park *instances* while their pool
-/// worker keeps stepping healthy neighbours, and the supervisor's wedge
-/// detection reads per-instance activity counters.
+/// The mutex app on the mux backend over `transport`, under `plan` (the
+/// repo benchmark calls it by this name).
 pub fn run_mutex_service_chaos_mux_on(
     cfg: &MutexServiceConfig,
     workers: usize,
     transport: &dyn Transport<MeMsg>,
     plan: &ChaosPlan,
 ) -> std::io::Result<(ServiceReport, ChaosReport)> {
-    mutex_service_impl(cfg, transport, Some(plan), spawn_mux(workers))
+    run_service(cfg, on_mux(workers, transport, Some(plan)))
         .map(|(report, chaos)| (report, chaos.expect("chaos plan was given")))
 }
 
-/// The thread-per-process spawner the generic service impls default to.
-pub(crate) fn spawn_threads<P>(
-    processes: Vec<P>,
-    drivers: Vec<Option<Driver<P>>>,
-    live: LiveConfig,
-    transport: &dyn Transport<P::Msg>,
-) -> std::io::Result<LiveRunner<P>>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Event: Send,
-{
-    LiveRunner::spawn_with_transport(processes, drivers, live, transport)
-}
-
-/// A spawner for the mux backend with a fixed pool size.
-#[allow(clippy::type_complexity)]
-pub(crate) fn spawn_mux<P>(
+/// The run the benchmark's wrappers describe.
+fn on_mux<'a, M>(
     workers: usize,
-) -> impl FnOnce(
-    Vec<P>,
-    Vec<Option<Driver<P>>>,
-    LiveConfig,
-    &dyn Transport<P::Msg>,
-) -> std::io::Result<MuxRunner<P>>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Event: Send,
-{
-    move |processes, drivers, live, transport| {
-        MuxRunner::spawn_with_transport(processes, drivers, live, workers, transport)
+    transport: &'a dyn Transport<M>,
+    chaos: Option<&'a ChaosPlan>,
+) -> ServiceRun<'a, M> {
+    ServiceRun {
+        backend: Backend::Mux { workers },
+        transport,
+        chaos,
     }
 }
 
-fn mutex_service_impl<B>(
-    cfg: &MutexServiceConfig,
-    transport: &dyn Transport<MeMsg>,
-    plan: Option<&ChaosPlan>,
-    spawn: impl FnOnce(
-        Vec<MeProcess>,
-        Vec<Option<Driver<MeProcess>>>,
-        LiveConfig,
-        &dyn Transport<MeMsg>,
-    ) -> std::io::Result<B>,
-) -> std::io::Result<(ServiceReport, Option<ChaosReport>)>
-where
-    B: RuntimeBackend<MeProcess>,
-{
-    let n = cfg.n;
-    let processes: Vec<MeProcess> = (0..n)
-        .map(|i| {
-            MeProcess::with_config(
-                ProcessId::new(i),
-                n,
-                100 + i as u64,
-                MeConfig {
-                    cs_duration: cfg.cs_duration,
-                    ..MeConfig::default()
-                },
-            )
-        })
-        .collect();
-
-    let total = cfg.requests_per_process * n as u64;
-    let injected = Arc::new(AtomicU64::new(0));
-    let served = Arc::new(AtomicU64::new(0));
-    let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let drivers: Vec<Option<Driver<MeProcess>>> = (0..n)
-        .map(|_| {
-            let mut remaining = cfg.requests_per_process;
-            let mut outstanding: Option<Instant> = None;
-            let injected = injected.clone();
-            let served = served.clone();
-            let latencies = latencies.clone();
-            let hook: Driver<MeProcess> = Box::new(move |proc, scribe| {
-                let mut progressed = false;
-                if let Some(since) = outstanding {
-                    if proc.request() == RequestState::Done {
-                        served.fetch_add(1, Ordering::Relaxed);
-                        latencies.lock().expect("latency log").push(since.elapsed());
-                        outstanding = None;
-                        progressed = true;
-                    }
-                }
-                if outstanding.is_none() && remaining > 0 && proc.request() == RequestState::Done {
-                    scribe.mark("request");
-                    if proc.request_cs() {
-                        remaining -= 1;
-                        outstanding = Some(Instant::now());
-                        injected.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-                progressed
-            });
-            Some(hook)
-        })
-        .collect();
-
-    let record = cfg.live.record_trace;
-    let chaos_transport = plan.map(|_| ChaosTransport::new(transport, n));
-    let mut runner = match &chaos_transport {
-        Some(ct) => spawn(processes, drivers, cfg.live.clone(), ct)?,
-        None => spawn(processes, drivers, cfg.live.clone(), transport)?,
-    };
-    let mut harness = plan.map(|p| {
-        let plane = chaos_transport.as_ref().expect("wrapped above").plane();
-        ChaosHarness::new(p, plane, n, &cfg.live)
-    });
-    let deadline = Instant::now() + cfg.time_budget;
-    loop {
-        let work_done = served.load(Ordering::Relaxed) >= total;
-        let chaos_done = harness.as_ref().is_none_or(|h| h.done(&runner));
-        if (work_done && chaos_done) || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        if let Some(h) = harness.as_mut() {
-            h.tick(&mut runner, served.load(Ordering::Relaxed));
-        }
-    }
-    let chaos_report = harness.map(|h| h.finish(&mut runner));
-    let link_samples = runner.link_samples();
-    let report = runner.stop();
-
-    let cs_entries = report
-        .processes
-        .iter()
-        .map(|m| m.counters().cs_entries)
-        .sum();
-    let latencies = std::mem::take(&mut *latencies.lock().expect("latency log"));
-    Ok((
-        ServiceReport {
-            injected: injected.load(Ordering::Relaxed),
-            served: served.load(Ordering::Relaxed),
-            cs_entries,
-            wall: report.wall,
-            stats: report.stats,
-            trace: record.then_some(report.trace),
-            processes: report.processes,
-            latencies,
-            link_samples,
-        },
-        chaos_report,
-    ))
-}
-
-/// Configuration of a sharded, batching mutex-service run
-/// ([`run_sharded_service`]).
+/// Configuration of a sharded, batching mutex-service run — the
+/// sharded app. Every process hosts one [`ShardedMe`] (all `S`
+/// sub-instances), and the links run one capacity lane per shard. Its
+/// client walks the shards every quantum: an outstanding batch whose
+/// sub-instance returned to `Done` is recorded as a grant (latencies
+/// timed per member), and an idle sub-instance with queued requests
+/// binds the next conflict-free batch and calls `request_cs()`. With
+/// `shards == 1 && batch == 1` this degenerates to exactly the mutex
+/// app's behaviour.
 #[derive(Clone, Debug)]
 pub struct ShardedServiceConfig {
-    /// Number of processes (= worker threads). Each worker hosts every
-    /// shard's sub-instance.
+    /// Number of processes. Each hosts every shard's sub-instance.
     pub n: usize,
     /// Number of independent protocol instances (one leader each).
     pub shards: usize,
@@ -441,6 +694,9 @@ pub struct ShardedReport {
     pub processes: Vec<ShardedMe>,
     /// Per-request service latencies (batch bind to grant observation).
     pub latencies: Vec<Duration>,
+    /// Per-link counters sampled just before shutdown (lanes summed per
+    /// link).
+    pub link_samples: Vec<LinkSample>,
 }
 
 impl ShardedReport {
@@ -479,16 +735,7 @@ impl ShardedReport {
     /// latencies, if any request was served — one sort feeds all of them,
     /// so ask for p50 and p99 in one call.
     pub fn latency_quantiles(&self, qs: &[f64]) -> Option<Vec<Duration>> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut v = self.latencies.clone();
-        v.sort_unstable();
-        Some(
-            qs.iter()
-                .map(|q| v[((v.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize])
-                .collect(),
-        )
+        quantiles(&self.latencies, qs)
     }
 
     /// The `q`-quantile of the service latencies; for several quantiles
@@ -503,146 +750,193 @@ impl ShardedReport {
     }
 }
 
-/// Runs the sharded, batching mutual-exclusion service to completion (all
-/// requests served) or to the time budget.
-///
-/// Every worker thread hosts one [`ShardedMe`] (all `S` sub-instances);
-/// its driver hook walks the shards each loop iteration: an outstanding
-/// batch whose sub-instance returned to `Done` is recorded as a grant
-/// (latencies timed per member), and an idle sub-instance with queued
-/// requests binds the next conflict-free batch and calls `request_cs()`.
-/// With `shards == 1 && batch == 1` this degenerates to exactly
-/// [`run_mutex_service`]'s behaviour.
-pub fn run_sharded_service(cfg: &ShardedServiceConfig) -> ShardedReport {
-    run_sharded_service_on(cfg, &InMemory).expect("the in-memory transport is infallible")
+/// The sharded app's counters, filled by its clients.
+pub struct ShardedTally {
+    injected: Vec<ClientRequest>,
+    log: Arc<GrantTally>,
 }
 
-/// [`run_sharded_service`] over an arbitrary [`Transport`] backend (e.g.
-/// `snapstab-net`'s `UdpLoopback`). Fallible because a networked backend
-/// binds OS resources; the in-memory path cannot fail.
-pub fn run_sharded_service_on(
-    cfg: &ShardedServiceConfig,
-    transport: &dyn Transport<ShardedMeMsg>,
-) -> std::io::Result<ShardedReport> {
-    let n = cfg.n;
-    let shards = cfg.shards;
-    // S shards share each directed link. A naive share would let sibling
-    // shards trigger the §4 drop-on-full rule against each other and
-    // collapse throughput into retransmission; instead the link runs one
-    // capacity lane per shard (`LiveRunner::spawn_with_drivers_laned`),
-    // so every instance sees exactly a capacity-`live.capacity` channel
-    // of its own and the per-instance flag domain is sized by the
-    // ordinary §4 rule for that capacity (the default `live.capacity = 1`
-    // keeps the paper's five flags).
-    let me_config = MeConfig {
-        cs_duration: cfg.cs_duration,
-        flag_domain: snapstab_core::flag::FlagDomain::for_capacity(cfg.live.capacity.max(1)),
-        ..MeConfig::default()
-    };
-    let processes: Vec<ShardedMe> = (0..n)
-        .map(|i| ShardedMe::new(ProcessId::new(i), n, shards, me_config))
-        .collect();
+struct GrantTally {
+    served: AtomicU64,
+    per_shard_served: Vec<AtomicU64>,
+    grant_log: Mutex<GrantLog>,
+    latencies: Mutex<Vec<Duration>>,
+}
 
-    // The deterministic request workload is built by the same helper the
-    // simulator mirror uses (`shard::inject_requests`), so the sim-vs-live
-    // conformance tests always compare identical streams.
-    let (injected, queues) = inject_requests(
-        n,
-        cfg.requests_per_process,
-        cfg.key_space,
-        cfg.live.seed,
-        shards,
-        cfg.batch,
-    );
-    let total = injected.len() as u64;
+/// The sharded app's client: per shard, one outstanding batch at a
+/// time, bound from that shard's queue.
+pub struct ShardedClient {
+    queues: Vec<BatchQueue>,
+    outstanding: Vec<Option<(Instant, Vec<ClientRequest>)>>,
+    log: Arc<GrantTally>,
+}
 
-    let served = Arc::new(AtomicU64::new(0));
-    let per_shard_served: Arc<Vec<AtomicU64>> =
-        Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
-    let grant_log: Arc<Mutex<GrantLog>> = Arc::new(Mutex::new(GrantLog::new(shards)));
-    let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let drivers: Vec<Option<Driver<ShardedMe>>> = queues
-        .into_iter()
-        .map(|mut shard_queues| {
-            let mut outstanding: Vec<Option<(Instant, Vec<ClientRequest>)>> = vec![None; shards];
-            let served = served.clone();
-            let per_shard_served = per_shard_served.clone();
-            let grant_log = grant_log.clone();
-            let latencies = latencies.clone();
-            let hook: Driver<ShardedMe> = Box::new(move |proc, scribe| {
-                let mut progressed = false;
-                for s in 0..proc.shard_count() {
-                    if proc.shard(s).request() != RequestState::Done {
-                        continue;
-                    }
-                    if let Some((since, batch)) = outstanding[s].take() {
-                        let step = scribe.mark(shard_marker("grant", s));
-                        let elapsed = since.elapsed();
-                        {
-                            let mut lat = latencies.lock().expect("latency log");
-                            lat.extend(batch.iter().map(|_| elapsed));
-                        }
-                        served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        per_shard_served[s].fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        grant_log
-                            .lock()
-                            .expect("grant log")
-                            .record(s, scribe.me(), step, batch);
-                        progressed = true;
-                    }
-                    if !shard_queues[s].is_empty() {
-                        let batch = shard_queues[s].take_batch();
-                        scribe.mark(shard_marker("request", s));
-                        assert!(proc.shard_mut(s).request_cs(), "sub-instance was Done");
-                        outstanding[s] = Some((Instant::now(), batch));
-                        progressed = true;
-                    }
+impl Client<ShardedMe> for ShardedClient {
+    fn step(&mut self, proc: &mut ShardedMe, marks: &mut impl Marks) -> bool {
+        let mut progressed = false;
+        for s in 0..proc.shard_count() {
+            if proc.shard(s).request() != RequestState::Done {
+                continue;
+            }
+            if let Some((since, batch)) = self.outstanding[s].take() {
+                let step = marks.mark(shard_marker("grant", s));
+                let elapsed = since.elapsed();
+                {
+                    let mut lat = self.log.latencies.lock().expect("latency log");
+                    lat.extend(batch.iter().map(|_| elapsed));
                 }
-                progressed
-            });
-            Some(hook)
-        })
-        .collect();
-
-    let record = cfg.live.record_trace;
-    let runner = LiveRunner::spawn_with_transport_laned(
-        processes,
-        drivers,
-        cfg.live.clone(),
-        transport,
-        shards,
-        std::sync::Arc::new(|m: &ShardedMeMsg| m.shard as usize),
-    )?;
-    let deadline = Instant::now() + cfg.time_budget;
-    while served.load(Ordering::Relaxed) < total && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
+                let served = batch.len() as u64;
+                self.log.served.fetch_add(served, Ordering::Relaxed);
+                self.log.per_shard_served[s].fetch_add(served, Ordering::Relaxed);
+                for _ in 0..served {
+                    marks.completed();
+                }
+                self.log
+                    .grant_log
+                    .lock()
+                    .expect("grant log")
+                    .record(s, marks.me(), step, batch);
+                progressed = true;
+            }
+            if !self.queues[s].is_empty() {
+                let batch = self.queues[s].take_batch();
+                marks.mark(shard_marker("request", s));
+                assert!(proc.shard_mut(s).request_cs(), "sub-instance was Done");
+                self.outstanding[s] = Some((Instant::now(), batch));
+                progressed = true;
+            }
+        }
+        progressed
     }
-    let report = runner.stop();
-
-    let latencies = std::mem::take(&mut *latencies.lock().expect("latency log"));
-    let grant_log = std::mem::take(&mut *grant_log.lock().expect("grant log"));
-    Ok(ShardedReport {
-        injected,
-        served: served.load(Ordering::Relaxed),
-        per_shard_served: per_shard_served
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
-        grant_log,
-        wall: report.wall,
-        stats: report.stats,
-        trace: record.then_some(report.trace),
-        processes: report.processes,
-        latencies,
-    })
 }
 
-/// Configuration of a forwarding-service run
-/// ([`run_forwarding_service`]).
+impl ServiceApp for &ShardedServiceConfig {
+    type Proc = ShardedMe;
+    type Client = ShardedClient;
+    type Tally = ShardedTally;
+    type Report = ShardedReport;
+
+    fn live(&self) -> &LiveConfig {
+        &self.live
+    }
+
+    fn time_budget(&self) -> Duration {
+        self.time_budget
+    }
+
+    /// S shards share each directed link. A naive share would let
+    /// sibling shards trigger the §4 drop-on-full rule against each
+    /// other and collapse throughput into retransmission; instead the
+    /// link runs one capacity lane per shard, so every instance sees
+    /// exactly a capacity-`live.capacity` channel of its own.
+    fn lanes(&self) -> Option<(usize, LaneOf<ShardedMeMsg>)> {
+        Some((self.shards, Arc::new(|m: &ShardedMeMsg| m.shard as usize)))
+    }
+
+    fn build(&self) -> (Vec<ShardedMe>, Vec<ShardedClient>, ShardedTally) {
+        let (n, shards) = (self.n, self.shards);
+        // With one lane per shard, the per-instance flag domain is sized
+        // by the ordinary §4 rule for the lane capacity (the default
+        // `live.capacity = 1` keeps the paper's five flags).
+        let me_config = MeConfig {
+            cs_duration: self.cs_duration,
+            flag_domain: snapstab_core::flag::FlagDomain::for_capacity(self.live.capacity.max(1)),
+            ..MeConfig::default()
+        };
+        let processes = (0..n)
+            .map(|i| ShardedMe::new(ProcessId::new(i), n, shards, me_config))
+            .collect();
+        // The deterministic request workload is built by the same helper
+        // the simulator mirror uses (`shard::inject_requests`), so the
+        // sim-vs-live conformance tests always compare identical streams.
+        let (injected, queues) = inject_requests(
+            n,
+            self.requests_per_process,
+            self.key_space,
+            self.live.seed,
+            shards,
+            self.batch,
+        );
+        let log = Arc::new(GrantTally {
+            served: AtomicU64::new(0),
+            per_shard_served: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            grant_log: Mutex::new(GrantLog::new(shards)),
+            latencies: Mutex::new(Vec::new()),
+        });
+        let clients = queues
+            .into_iter()
+            .map(|queues| ShardedClient {
+                queues,
+                outstanding: vec![None; shards],
+                log: log.clone(),
+            })
+            .collect();
+        (processes, clients, ShardedTally { injected, log })
+    }
+
+    fn completed(&self, tally: &ShardedTally) -> u64 {
+        tally.log.served.load(Ordering::Relaxed)
+    }
+
+    fn done(&self, tally: &ShardedTally) -> bool {
+        self.completed(tally) >= tally.injected.len() as u64
+    }
+
+    fn finish(self, tally: ShardedTally, run: Finished<ShardedMe>) -> ShardedReport {
+        let log = &tally.log;
+        ShardedReport {
+            served: log.served.load(Ordering::Relaxed),
+            per_shard_served: log
+                .per_shard_served
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect(),
+            grant_log: std::mem::take(&mut *log.grant_log.lock().expect("grant log")),
+            latencies: std::mem::take(&mut *log.latencies.lock().expect("latency log")),
+            injected: tally.injected,
+            wall: run.wall,
+            stats: run.stats,
+            trace: run.trace,
+            processes: run.processes,
+            link_samples: run.link_samples,
+        }
+    }
+}
+
+/// Configuration of a forwarding-service run — the forwarding app: one
+/// [`ForwardProcess`] per process of the line, a per-process injection
+/// queue fed by the deterministic [`forward_workload`] stream, and
+/// end-to-end delivery latencies timed from injection at the source to
+/// collection at the destination.
+///
+/// ```
+/// use snapstab_runtime::{run_service, ForwardingServiceConfig, ServiceRun};
+/// use snapstab_core::spec::analyze_forwarding_trace;
+/// use std::time::Duration;
+///
+/// let cfg = ForwardingServiceConfig {
+///     n: 3,
+///     payloads_per_process: 2,
+///     prefill_stale: true, // adversarial initial buffers
+///     time_budget: Duration::from_secs(30),
+///     ..ForwardingServiceConfig::default()
+/// };
+/// let (report, _) = run_service(&cfg, ServiceRun::default()).unwrap();
+/// assert_eq!(report.delivered, 6);
+/// // The merged live trace passes executable Specification 4.
+/// let spec = analyze_forwarding_trace(&report.trace.unwrap(), 3);
+/// assert!(spec.holds());
+/// ```
+///
+/// Under chaos, state corruption can destroy payloads *in flight
+/// through protocol buffers*, so unlike the fault-free service a chaos
+/// run may end below its delivery total when the budget expires — the
+/// epoch checker (`snapstab_core::spec::analyze_forwarding_epochs`)
+/// classifies those payloads as interrupted at a fault boundary rather
+/// than lost.
 #[derive(Clone, Debug)]
 pub struct ForwardingServiceConfig {
-    /// Number of processes on the line (= worker threads).
+    /// Number of processes on the line.
     pub n: usize,
     /// Client payloads injected per process (destinations drawn
     /// uniformly by the shared
@@ -702,7 +996,7 @@ pub struct ForwardingServiceReport {
     pub latencies: Vec<Duration>,
     /// Per-link counters sampled just before shutdown — the same
     /// drop/reorder/in-transit table for every transport backend.
-    pub link_samples: Vec<crate::runner::LinkSample>,
+    pub link_samples: Vec<LinkSample>,
 }
 
 impl ForwardingServiceReport {
@@ -722,227 +1016,191 @@ impl ForwardingServiceReport {
     }
 }
 
-/// Runs the snap-stabilizing forwarding service to completion (every
-/// genuine payload delivered) or to the time budget: one
-/// [`ForwardProcess`] per worker thread, a per-process injection queue
-/// fed by the deterministic [`forward_workload`] stream, and end-to-end
-/// delivery latencies timed from injection at the source to collection
-/// at the destination.
-///
-/// ```
-/// use snapstab_runtime::{run_forwarding_service, ForwardingServiceConfig};
-/// use snapstab_core::spec::analyze_forwarding_trace;
-/// use std::time::Duration;
-///
-/// let report = run_forwarding_service(&ForwardingServiceConfig {
-///     n: 3,
-///     payloads_per_process: 2,
-///     prefill_stale: true, // adversarial initial buffers
-///     time_budget: Duration::from_secs(30),
-///     ..ForwardingServiceConfig::default()
-/// });
-/// assert_eq!(report.delivered, 6);
-/// // The merged live trace passes executable Specification 4.
-/// let spec = analyze_forwarding_trace(&report.trace.unwrap(), 3);
-/// assert!(spec.holds());
-/// ```
-pub fn run_forwarding_service(cfg: &ForwardingServiceConfig) -> ForwardingServiceReport {
-    run_forwarding_service_on(cfg, &InMemory).expect("the in-memory transport is infallible")
+/// The forwarding app's counters, filled by its clients.
+pub struct ForwardTally {
+    total: u64,
+    injected: AtomicU64,
+    delivered: AtomicU64,
+    spurious: AtomicU64,
+    /// Injection timestamps by payload id, written at the source and
+    /// read at the destination (different workers).
+    inject_times: Mutex<HashMap<u64, Instant>>,
+    latencies: Mutex<Vec<Duration>>,
 }
 
-/// [`run_forwarding_service`] over an arbitrary [`Transport`] backend
-/// (e.g. `snapstab-net`'s `UdpLoopback`). Fallible because a networked
-/// backend binds OS resources; the in-memory path cannot fail.
-pub fn run_forwarding_service_on(
-    cfg: &ForwardingServiceConfig,
-    transport: &dyn Transport<ForwardMsg>,
-) -> std::io::Result<ForwardingServiceReport> {
-    forwarding_service_impl(cfg, transport, None, spawn_threads).map(|(report, _)| report)
+impl ForwardTally {
+    /// `(injected, delivered, spurious, latencies)`, draining the
+    /// latency log.
+    pub(crate) fn take(&self) -> (u64, u64, u64, Vec<Duration>) {
+        (
+            self.injected.load(Ordering::Relaxed),
+            self.delivered.load(Ordering::Relaxed),
+            self.spurious.load(Ordering::Relaxed),
+            std::mem::take(&mut *self.latencies.lock().expect("latency log")),
+        )
+    }
 }
 
-/// [`run_forwarding_service`] on the event-driven [`MuxRunner`] backend:
-/// every hop of the line is an instance on the pool, stepped when its
-/// links carry traffic. Same workload, stamping and report shape as the
-/// thread backend.
-pub fn run_forwarding_service_mux(
-    cfg: &ForwardingServiceConfig,
-    workers: usize,
-) -> ForwardingServiceReport {
-    run_forwarding_service_mux_on(cfg, workers, &InMemory)
-        .expect("the in-memory transport is infallible")
+/// The forwarding app's client: collects deliveries, injects the next
+/// queued payload whenever the process can take one.
+pub struct ForwardClient {
+    queue: VecDeque<Payload>,
+    tally: Arc<ForwardTally>,
 }
 
-/// [`run_forwarding_service_mux`] over an arbitrary [`Transport`]
-/// backend.
+impl Client<ForwardProcess> for ForwardClient {
+    fn step(&mut self, proc: &mut ForwardProcess, marks: &mut impl Marks) -> bool {
+        let mut progressed = false;
+        for payload in proc.take_delivered() {
+            // Stale flushes complete too: a monitor's causal bound must
+            // match what its gauges count.
+            marks.completed();
+            if payload.id & STALE_ID_BIT == 0 {
+                self.tally.delivered.fetch_add(1, Ordering::Relaxed);
+                let since = self
+                    .tally
+                    .inject_times
+                    .lock()
+                    .expect("timestamps")
+                    .remove(&payload.id);
+                if let Some(since) = since {
+                    self.tally
+                        .latencies
+                        .lock()
+                        .expect("latency log")
+                        .push(since.elapsed());
+                }
+            } else {
+                self.tally.spurious.fetch_add(1, Ordering::Relaxed);
+            }
+            progressed = true;
+        }
+        if proc.can_inject() {
+            if let Some(&payload) = self.queue.front() {
+                self.tally
+                    .inject_times
+                    .lock()
+                    .expect("timestamps")
+                    .insert(payload.id, Instant::now());
+                assert!(proc.request_send(payload), "workload stays in domain");
+                self.queue.pop_front();
+                self.tally.injected.fetch_add(1, Ordering::Relaxed);
+                progressed = true;
+            }
+        }
+        progressed
+    }
+}
+
+impl Gauged<ForwardProcess> for ForwardClient {
+    fn gauges(&self, proc: &ForwardProcess) -> (u32, u32) {
+        (
+            self.queue.len().min(u32::MAX as usize) as u32,
+            proc.buffered().min(u32::MAX as usize) as u32,
+        )
+    }
+}
+
+impl ServiceApp for &ForwardingServiceConfig {
+    type Proc = ForwardProcess;
+    type Client = ForwardClient;
+    type Tally = Arc<ForwardTally>;
+    type Report = ForwardingServiceReport;
+
+    fn live(&self) -> &LiveConfig {
+        &self.live
+    }
+
+    fn time_budget(&self) -> Duration {
+        self.time_budget
+    }
+
+    fn build(&self) -> (Vec<ForwardProcess>, Vec<ForwardClient>, Arc<ForwardTally>) {
+        let n = self.n;
+        let config = ForwardConfig {
+            buffer_cap: self.buffer_cap,
+            // §4: the per-hop handshake domain is sized by the channel
+            // capacity the transport enforces.
+            flag_domain: snapstab_core::flag::FlagDomain::for_capacity(self.live.capacity.max(1)),
+        };
+        let mut processes: Vec<ForwardProcess> = (0..n)
+            .map(|i| ForwardProcess::new(ProcessId::new(i), n, config))
+            .collect();
+        if self.prefill_stale {
+            let mut rng = SimRng::seed_from(self.live.seed ^ 0x57A1_EB0F);
+            for proc in &mut processes {
+                proc.prefill_stale(&mut rng);
+            }
+        }
+        let workload = forward_workload(n, self.payloads_per_process, self.live.seed);
+        let tally = Arc::new(ForwardTally {
+            total: workload.iter().map(|w| w.len() as u64).sum(),
+            injected: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            spurious: AtomicU64::new(0),
+            inject_times: Mutex::new(HashMap::new()),
+            latencies: Mutex::new(Vec::new()),
+        });
+        let clients = workload
+            .into_iter()
+            .map(|stream| ForwardClient {
+                queue: stream.into(),
+                tally: tally.clone(),
+            })
+            .collect();
+        (processes, clients, tally)
+    }
+
+    /// Genuine deliveries and spurious flushes alike: a corrupted run
+    /// may finish below its delivery total.
+    fn completed(&self, tally: &Arc<ForwardTally>) -> u64 {
+        tally.delivered.load(Ordering::Relaxed) + tally.spurious.load(Ordering::Relaxed)
+    }
+
+    fn done(&self, tally: &Arc<ForwardTally>) -> bool {
+        tally.delivered.load(Ordering::Relaxed) >= tally.total
+    }
+
+    fn finish(
+        self,
+        tally: Arc<ForwardTally>,
+        run: Finished<ForwardProcess>,
+    ) -> ForwardingServiceReport {
+        let (injected, delivered, spurious, latencies) = tally.take();
+        ForwardingServiceReport {
+            injected,
+            delivered,
+            spurious,
+            wall: run.wall,
+            stats: run.stats,
+            trace: run.trace,
+            processes: run.processes,
+            latencies,
+            link_samples: run.link_samples,
+        }
+    }
+}
+
+/// The forwarding app on the mux backend over `transport` (the repo
+/// benchmark calls it by this name).
 pub fn run_forwarding_service_mux_on(
     cfg: &ForwardingServiceConfig,
     workers: usize,
     transport: &dyn Transport<ForwardMsg>,
 ) -> std::io::Result<ForwardingServiceReport> {
-    forwarding_service_impl(cfg, transport, None, spawn_mux(workers)).map(|(report, _)| report)
-}
-
-/// [`run_forwarding_service_on`] under a live chaos schedule (see
-/// [`run_mutex_service_chaos_on`]). One forwarding-specific caveat:
-/// state corruption can destroy payloads *in flight through protocol
-/// buffers*, so unlike the fault-free service a chaos run may end below
-/// its delivery total when the budget expires — the epoch checker
-/// (`snapstab_core::spec::analyze_forwarding_epochs`) classifies those
-/// payloads as interrupted at a fault boundary rather than lost.
-pub fn run_forwarding_service_chaos_on(
-    cfg: &ForwardingServiceConfig,
-    transport: &dyn Transport<ForwardMsg>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(ForwardingServiceReport, ChaosReport)> {
-    forwarding_service_impl(cfg, transport, Some(plan), spawn_threads)
-        .map(|(report, chaos)| (report, chaos.expect("chaos plan was given")))
-}
-
-/// [`run_forwarding_service_chaos_on`] on the [`MuxRunner`] backend (see
-/// [`run_mutex_service_chaos_mux_on`] for the instance-level fault
-/// semantics).
-pub fn run_forwarding_service_chaos_mux_on(
-    cfg: &ForwardingServiceConfig,
-    workers: usize,
-    transport: &dyn Transport<ForwardMsg>,
-    plan: &ChaosPlan,
-) -> std::io::Result<(ForwardingServiceReport, ChaosReport)> {
-    forwarding_service_impl(cfg, transport, Some(plan), spawn_mux(workers))
-        .map(|(report, chaos)| (report, chaos.expect("chaos plan was given")))
-}
-
-fn forwarding_service_impl<B>(
-    cfg: &ForwardingServiceConfig,
-    transport: &dyn Transport<ForwardMsg>,
-    plan: Option<&ChaosPlan>,
-    spawn: impl FnOnce(
-        Vec<ForwardProcess>,
-        Vec<Option<Driver<ForwardProcess>>>,
-        LiveConfig,
-        &dyn Transport<ForwardMsg>,
-    ) -> std::io::Result<B>,
-) -> std::io::Result<(ForwardingServiceReport, Option<ChaosReport>)>
-where
-    B: RuntimeBackend<ForwardProcess>,
-{
-    let n = cfg.n;
-    let config = ForwardConfig {
-        buffer_cap: cfg.buffer_cap,
-        // §4: the per-hop handshake domain is sized by the channel
-        // capacity the transport enforces.
-        flag_domain: snapstab_core::flag::FlagDomain::for_capacity(cfg.live.capacity.max(1)),
-    };
-    let mut processes: Vec<ForwardProcess> = (0..n)
-        .map(|i| ForwardProcess::new(ProcessId::new(i), n, config))
-        .collect();
-    if cfg.prefill_stale {
-        let mut rng = SimRng::seed_from(cfg.live.seed ^ 0x57A1_EB0F);
-        for proc in &mut processes {
-            proc.prefill_stale(&mut rng);
-        }
-    }
-
-    let workload = forward_workload(n, cfg.payloads_per_process, cfg.live.seed);
-    let total: u64 = workload.iter().map(|w| w.len() as u64).sum();
-    let injected = Arc::new(AtomicU64::new(0));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let spurious = Arc::new(AtomicU64::new(0));
-    // Injection timestamps by payload id, written at the source and read
-    // at the destination (different worker threads).
-    let inject_times: Arc<Mutex<HashMap<u64, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
-    let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let drivers: Vec<Option<Driver<ForwardProcess>>> = workload
-        .into_iter()
-        .map(|stream| {
-            let mut queue: VecDeque<_> = stream.into();
-            let injected = injected.clone();
-            let delivered = delivered.clone();
-            let spurious = spurious.clone();
-            let inject_times = inject_times.clone();
-            let latencies = latencies.clone();
-            let hook: Driver<ForwardProcess> = Box::new(move |proc, _scribe| {
-                let mut progressed = false;
-                for payload in proc.take_delivered() {
-                    if payload.id & STALE_ID_BIT == 0 {
-                        delivered.fetch_add(1, Ordering::Relaxed);
-                        let since = inject_times.lock().expect("timestamps").remove(&payload.id);
-                        if let Some(since) = since {
-                            latencies.lock().expect("latency log").push(since.elapsed());
-                        }
-                    } else {
-                        spurious.fetch_add(1, Ordering::Relaxed);
-                    }
-                    progressed = true;
-                }
-                if proc.can_inject() {
-                    if let Some(&payload) = queue.front() {
-                        inject_times
-                            .lock()
-                            .expect("timestamps")
-                            .insert(payload.id, Instant::now());
-                        assert!(proc.request_send(payload), "workload stays in domain");
-                        queue.pop_front();
-                        injected.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-                progressed
-            });
-            Some(hook)
-        })
-        .collect();
-
-    let record = cfg.live.record_trace;
-    let chaos_transport = plan.map(|_| ChaosTransport::new(transport, n));
-    let mut runner = match &chaos_transport {
-        Some(ct) => spawn(processes, drivers, cfg.live.clone(), ct)?,
-        None => spawn(processes, drivers, cfg.live.clone(), transport)?,
-    };
-    let mut harness = plan.map(|p| {
-        let plane = chaos_transport.as_ref().expect("wrapped above").plane();
-        ChaosHarness::new(p, plane, n, &cfg.live)
-    });
-    let deadline = Instant::now() + cfg.time_budget;
-    loop {
-        // Recovery is judged on *any* end-to-end completion, spurious
-        // flushes included — a corrupted run may finish below `total`.
-        let completed = delivered.load(Ordering::Relaxed) + spurious.load(Ordering::Relaxed);
-        let work_done = delivered.load(Ordering::Relaxed) >= total;
-        let chaos_done = harness.as_ref().is_none_or(|h| h.done(&runner));
-        if (work_done && chaos_done) || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        if let Some(h) = harness.as_mut() {
-            h.tick(&mut runner, completed);
-        }
-    }
-    let chaos_report = harness.map(|h| h.finish(&mut runner));
-    let link_samples = runner.link_samples();
-    let report = runner.stop();
-
-    let latencies = std::mem::take(&mut *latencies.lock().expect("latency log"));
-    Ok((
-        ForwardingServiceReport {
-            injected: injected.load(Ordering::Relaxed),
-            delivered: delivered.load(Ordering::Relaxed),
-            spurious: spurious.load(Ordering::Relaxed),
-            wall: report.wall,
-            stats: report.stats,
-            trace: record.then_some(report.trace),
-            processes: report.processes,
-            latencies,
-            link_samples,
-        },
-        chaos_report,
-    ))
+    run_service(cfg, on_mux(workers, transport, None)).map(|(report, _)| report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snapstab_core::spec::analyze_me_trace;
+
+    fn in_memory<A: ServiceApp>(app: A) -> A::Report {
+        run_service(app, ServiceRun::default())
+            .expect("in-memory")
+            .0
+    }
 
     #[test]
     fn small_service_serves_every_request() {
@@ -952,7 +1210,7 @@ mod tests {
             time_budget: Duration::from_secs(45),
             ..MutexServiceConfig::default()
         };
-        let report = run_mutex_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.injected, 6, "all requests injected");
         assert_eq!(report.served, 6, "all requests served");
         assert_eq!(report.latencies.len(), 6);
@@ -980,7 +1238,7 @@ mod tests {
             time_budget: Duration::from_secs(45),
             ..ShardedServiceConfig::default()
         };
-        let report = run_sharded_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.served, 18, "all requests served");
         assert_eq!(report.latencies.len(), 18);
         let audit = report.audit();
@@ -1020,7 +1278,7 @@ mod tests {
             time_budget: Duration::from_secs(45),
             ..ShardedServiceConfig::default()
         };
-        let report = run_sharded_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.served, 6);
         assert_eq!(
             report.grant_log.len(),
@@ -1048,7 +1306,7 @@ mod tests {
         }
         .with_queue_depth(3);
         assert_eq!(cfg.requests_per_process, 6, "depth 3 × 2 shards");
-        let report = run_sharded_service(&cfg);
+        let report = in_memory(&cfg);
         // 3 processes × (queue_depth 3 × 2 shards) requests each.
         assert_eq!(report.injected.len(), 18);
         assert_eq!(report.served, 18);
@@ -1063,7 +1321,7 @@ mod tests {
             time_budget: Duration::from_secs(45),
             ..ForwardingServiceConfig::default()
         };
-        let report = run_forwarding_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.injected, 9);
         assert_eq!(report.delivered, 9);
         assert_eq!(report.spurious, 0, "clean start flushes nothing");
@@ -1090,7 +1348,7 @@ mod tests {
             },
             time_budget: Duration::from_secs(45),
         };
-        let report = run_forwarding_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.delivered, 8, "all genuine payloads delivered");
         assert!(report.stats.links.lost_in_transit > 0, "loss was active");
         let trace = report.trace.expect("recording on by default");
@@ -1100,7 +1358,7 @@ mod tests {
 
     #[test]
     fn chaos_mutex_service_serves_and_epochs_hold() {
-        use crate::chaos::{ChaosMix, ChaosPlan};
+        use crate::chaos::ChaosMix;
         let cfg = MutexServiceConfig {
             n: 3,
             requests_per_process: 4,
@@ -1117,8 +1375,12 @@ mod tests {
             disruption: Duration::from_millis(15),
             ..ChaosPlan::profile(ChaosMix::All, 3)
         };
-        let (report, chaos) =
-            run_mutex_service_chaos_on(&cfg, &InMemory, &plan).expect("in-memory");
+        let run = ServiceRun {
+            chaos: Some(&plan),
+            ..ServiceRun::default()
+        };
+        let (report, chaos) = run_service(&cfg, run).expect("in-memory");
+        let chaos = chaos.expect("chaos plan was given");
         assert_eq!(report.served, 12, "every request served despite chaos");
         assert_eq!(chaos.bursts_fired, 2, "both bursts landed mid-run");
         assert!(!chaos.fault_steps.is_empty(), "corruption was injected");
@@ -1145,7 +1407,7 @@ mod tests {
             time_budget: Duration::from_secs(45),
             ..MutexServiceConfig::default()
         };
-        let report = run_mutex_service(&cfg);
+        let report = in_memory(&cfg);
         assert_eq!(report.served, 3, "all requests served under 20% loss");
         assert!(report.stats.links.lost_in_transit > 0);
         assert!(report.trace.is_none());

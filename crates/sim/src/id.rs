@@ -4,8 +4,8 @@
 //! channels from `1` to `n - 1` and "indifferently uses the notation `q` to
 //! designate the process `q` or the local channel number of `q`". We follow
 //! the same convention with global, zero-based [`ProcessId`]s: a process's
-//! neighbors are simply all other identifiers (deviation D3 in DESIGN.md, a
-//! pure renaming).
+//! neighbors are simply all other identifiers (deviation D3 in
+//! ARCHITECTURE.md §11, a pure renaming).
 
 use std::fmt;
 

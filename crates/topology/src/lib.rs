@@ -28,7 +28,7 @@
 //! protocol on the complete graph.
 //!
 //! **Status.** Unlike the three protocols of the paper, the tree
-//! composition has no published proof; DESIGN.md (X2) records the safety
+//! composition has no published proof; ARCHITECTURE.md §11 (X2) records the safety
 //! argument (per-edge Lemma 4 + feedback-reset-before-echo) and the
 //! liveness argument (induction over subtree height + reconciliation),
 //! and the test suite validates both against arbitrary corruption — in

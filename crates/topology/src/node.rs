@@ -23,7 +23,7 @@
 //!   *withholds* the broadcast-trigger echo and the parent retransmits;
 //! * the root decides when all neighbor waves completed.
 //!
-//! ## Why this stays snap-stabilizing (informal; DESIGN.md X2)
+//! ## Why this stays snap-stabilizing (informal; X2 in ARCHITECTURE.md §11)
 //!
 //! Safety is per-edge Lemma 4 plus one observation: the `receive-brd` that
 //! resets the relay context fires *before* any broadcast-trigger echo can

@@ -13,9 +13,7 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::analyze_forwarding_trace;
 use snapstab_repro::net::{udp_available, UdpLoopback};
-use snapstab_repro::runtime::{
-    run_forwarding_service, run_forwarding_service_on, ForwardingServiceConfig, LiveConfig,
-};
+use snapstab_repro::runtime::{run_service, ForwardingServiceConfig, LiveConfig, ServiceRun};
 
 fn report(tag: &str, n: usize, r: &snapstab_repro::runtime::ForwardingServiceReport) {
     println!(
@@ -66,7 +64,8 @@ fn main() {
         },
         time_budget: Duration::from_secs(60),
     };
-    report("inmem", n, &run_forwarding_service(&cfg));
+    let (r, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
+    report("inmem", n, &r);
 
     // The same service over real UDP datagram sockets, where the sandbox
     // allows them.
@@ -75,8 +74,11 @@ fn main() {
             payloads_per_process: 5,
             ..cfg
         };
-        let r = run_forwarding_service_on(&udp_cfg, &UdpLoopback::new())
-            .expect("bind loopback sockets");
+        let run = ServiceRun {
+            transport: &UdpLoopback::new(),
+            ..ServiceRun::default()
+        };
+        let (r, _) = run_service(&udp_cfg, run).expect("bind loopback sockets");
         report("udp", n, &r);
     } else {
         println!("[udp] UDP loopback unavailable in this sandbox; skipping");

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use snapstab_repro::core::spec::analyze_me_trace;
-use snapstab_repro::runtime::{run_mutex_service, LiveConfig, MutexServiceConfig};
+use snapstab_repro::runtime::{run_service, LiveConfig, MutexServiceConfig, ServiceRun};
 
 fn main() {
     let n = 8;
@@ -30,7 +30,7 @@ fn main() {
         "live mutex service: {n} worker threads, {} requests/process, 10% loss",
         cfg.requests_per_process
     );
-    let report = run_mutex_service(&cfg);
+    let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
 
     println!(
         "served {}/{} requests in {:.2}s — {:.0} req/s, {:.0} msgs/s through the links",

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use snapstab_repro::core::shard::project_shard_trace;
 use snapstab_repro::core::spec::analyze_me_trace;
-use snapstab_repro::runtime::{run_sharded_service, LiveConfig, ShardedServiceConfig};
+use snapstab_repro::runtime::{run_service, LiveConfig, ServiceRun, ShardedServiceConfig};
 
 fn main() {
     let n = 8;
@@ -36,7 +36,7 @@ fn main() {
          (leaders on processes 0..{shards}), batch ≤ {}, {} requests/process",
         cfg.batch, cfg.requests_per_process
     );
-    let report = run_sharded_service(&cfg);
+    let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
 
     println!(
         "served {}/{} requests in {:.2}s — {:.0} req/s over {} grants \

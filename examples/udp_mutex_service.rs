@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::analyze_me_trace;
 use snapstab_repro::net::{udp_available, UdpLoopback};
-use snapstab_repro::runtime::{run_mutex_service_on, LiveConfig, MutexServiceConfig};
+use snapstab_repro::runtime::{run_service, LiveConfig, MutexServiceConfig, ServiceRun};
 
 fn main() {
     if !udp_available() {
@@ -39,7 +39,11 @@ fn main() {
     // The transport object runs nothing (the workers move the frames);
     // it is kept to read the topology's frame counters after the run.
     let transport = UdpLoopback::new();
-    let report = run_mutex_service_on(&cfg, &transport).expect("bind the loopback socket");
+    let run = ServiceRun {
+        transport: &transport,
+        ..ServiceRun::default()
+    };
+    let (report, _) = run_service(&cfg, run).expect("bind the loopback socket");
     let frames = transport.frame_stats();
 
     let wall = report.wall.as_secs_f64();

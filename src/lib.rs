@@ -44,7 +44,7 @@
 //!
 //! See the `examples/` directory for runnable walkthroughs and
 //! `snapstab-bench` for the experiment suite that regenerates every paper
-//! artifact (EXPERIMENTS.md records the results).
+//! artifact.
 //!
 //! ```
 //! use snapstab_repro::core::idl::IdlProcess;

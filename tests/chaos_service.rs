@@ -22,9 +22,10 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::{analyze_forwarding_epochs, analyze_me_epochs};
 use snapstab_repro::net::{udp_available, UdpLoopback};
+use snapstab_repro::runtime::service::Msg;
 use snapstab_repro::runtime::{
-    run_forwarding_service_chaos_on, run_mutex_service_chaos_on, ChaosMix, ChaosPlan,
-    ForwardingServiceConfig, InMemory, LiveConfig, MutexServiceConfig, Transport,
+    run_service, ChaosMix, ChaosPlan, ChaosReport, ForwardingServiceConfig, InMemory, LiveConfig,
+    MutexServiceConfig, ServiceApp, ServiceRun, Transport,
 };
 
 const MIXES: [ChaosMix; 5] = [
@@ -34,6 +35,22 @@ const MIXES: [ChaosMix; 5] = [
     ChaosMix::Storm,
     ChaosMix::All,
 ];
+
+/// Runs `app` on the thread backend over `transport` under `plan`.
+fn under_chaos<A: ServiceApp>(
+    app: A,
+    transport: &dyn Transport<Msg<A>>,
+    plan: &ChaosPlan,
+) -> (A::Report, ChaosReport) {
+    let run = ServiceRun {
+        transport,
+        chaos: Some(plan),
+        ..ServiceRun::default()
+    };
+    let (report, chaos) =
+        run_service(app, run).expect("transport setup (UDP runs are guarded by `udp_available`)");
+    (report, chaos.expect("chaos plan was given"))
+}
 
 /// Skip-and-warn guard: returns `true` (and prints a warning) when the
 /// sandbox forbids UDP loopback sockets.
@@ -98,8 +115,7 @@ fn mutex_chaos_run(
     let n = 3;
     let cfg = mutex_cfg(n, loss, seed);
     let plan = small_plan(mix, seed);
-    let (report, chaos) = run_mutex_service_chaos_on(&cfg, transport, &plan)
-        .expect("transport setup (UDP runs are guarded by `udp_available`)");
+    let (report, chaos) = under_chaos(&cfg, transport, &plan);
     let label = format!("mix {} loss {loss} seed {seed}", mix.as_str());
     assert_eq!(
         report.served,
@@ -137,8 +153,7 @@ fn forwarding_chaos_run(
     let n = 3;
     let cfg = forwarding_cfg(n, loss, seed);
     let plan = small_plan(mix, seed);
-    let (report, chaos) = run_forwarding_service_chaos_on(&cfg, transport, &plan)
-        .expect("transport setup (UDP runs are guarded by `udp_available`)");
+    let (report, chaos) = under_chaos(&cfg, transport, &plan);
     let label = format!("mix {} loss {loss} seed {seed}", mix.as_str());
     assert_eq!(chaos.bursts_fired, plan.bursts, "{label}");
     let trace = report.trace.as_ref().expect("chaos runs record the trace");
@@ -228,7 +243,7 @@ fn supervisor_heals_every_crash_without_manual_intervention() {
             disruption: Duration::from_millis(15),
             ..ChaosPlan::profile(ChaosMix::Crash, seed)
         };
-        let (report, chaos) = run_mutex_service_chaos_on(&cfg, &InMemory, &plan).expect("in-mem");
+        let (report, chaos) = under_chaos(&cfg, &InMemory, &plan);
         assert_eq!(report.served, cfg.requests_per_process * n as u64);
         assert!(chaos.crashes > 0, "the crash mix must actually crash");
         assert!(
@@ -264,7 +279,7 @@ fn interrupted_requests_are_classified_not_excused() {
             quiet: Duration::from_millis(6),
             ..small_plan(ChaosMix::Corrupt, seed)
         };
-        let (report, chaos) = run_mutex_service_chaos_on(&cfg, &InMemory, &plan).expect("in-mem");
+        let (report, chaos) = under_chaos(&cfg, &InMemory, &plan);
         let trace = report.trace.as_ref().expect("recorded");
         let epochs = analyze_me_epochs(trace, n, &chaos.fault_steps);
         assert!(epochs.holds(), "seed {seed}");

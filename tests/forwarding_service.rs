@@ -22,9 +22,7 @@ use proptest::prelude::*;
 use snapstab_repro::core::forward::{run_sim_forwarding, SimForwardConfig};
 use snapstab_repro::core::spec::analyze_forwarding_trace;
 use snapstab_repro::net::{udp_available, UdpLoopback};
-use snapstab_repro::runtime::{
-    run_forwarding_service, run_forwarding_service_on, ForwardingServiceConfig, LiveConfig,
-};
+use snapstab_repro::runtime::{run_service, ForwardingServiceConfig, LiveConfig, ServiceRun};
 
 /// Skip-and-warn guard: returns `true` (and prints a warning) when the
 /// sandbox forbids UDP loopback sockets.
@@ -86,7 +84,7 @@ fn live_forwarding_spec4_holds_across_seeds_and_loss() {
                 },
                 time_budget: Duration::from_secs(45),
             };
-            let report = run_forwarding_service(&cfg);
+            let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
             assert_eq!(
                 report.delivered, 8,
                 "loss {loss}, seed {seed}: every payload delivered live"
@@ -124,7 +122,7 @@ proptest! {
             },
             time_budget: Duration::from_secs(40),
         };
-        let report = run_forwarding_service(&cfg);
+        let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
         prop_assert_eq!(report.delivered, 2 * n as u64, "all live payloads delivered");
         let trace = report.trace.expect("recording on by default");
         let spec = analyze_forwarding_trace(&trace, n);
@@ -178,8 +176,11 @@ fn udp_forwarding_spec4_holds() {
             },
             time_budget: Duration::from_secs(45),
         };
-        let report =
-            run_forwarding_service_on(&cfg, &UdpLoopback::new()).expect("bind loopback sockets");
+        let udp = ServiceRun {
+            transport: &UdpLoopback::new(),
+            ..ServiceRun::default()
+        };
+        let (report, _) = run_service(&cfg, udp).expect("bind loopback sockets");
         assert_eq!(
             report.delivered, 6,
             "loss {loss}: every payload delivered over UDP"
@@ -210,7 +211,7 @@ fn live_stale_flushes_are_at_most_once() {
         },
         time_budget: Duration::from_secs(45),
     };
-    let report = run_forwarding_service(&cfg);
+    let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
     assert_eq!(report.delivered, 5);
     let trace = report.trace.expect("recording on by default");
     let spec = analyze_forwarding_trace(&trace, cfg.n);

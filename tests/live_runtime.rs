@@ -13,7 +13,9 @@ use snapstab_repro::core::me::{MeConfig, MeProcess};
 use snapstab_repro::core::pif::{PifApp, PifProcess};
 use snapstab_repro::core::request::RequestState;
 use snapstab_repro::core::spec::{analyze_me_trace, check_pif_wave};
-use snapstab_repro::runtime::{run_mutex_service, LiveConfig, LiveRunner, MutexServiceConfig};
+use snapstab_repro::runtime::{
+    run_service, LiveConfig, LiveRunner, MutexServiceConfig, RuntimeBackend, ServiceRun,
+};
 use snapstab_repro::sim::{
     Capacity, LossModel, NetworkBuilder, ProcessId, RandomScheduler, Runner,
 };
@@ -168,7 +170,7 @@ proptest! {
             },
             time_budget: Duration::from_secs(40),
         };
-        let report = run_mutex_service(&cfg);
+        let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
         let total = 2 * n as u64;
         prop_assert_eq!(report.served, total, "all live requests served");
         let trace = report.trace.expect("recording on");

@@ -17,15 +17,32 @@ use std::time::Duration;
 use snapstab_repro::core::probe::{MonitorEvent, ProbeDigest};
 use snapstab_repro::core::spec::{analyze_me_epochs, analyze_me_trace, analyze_snapshot_trace};
 use snapstab_repro::net::{udp_available, UdpLoopback};
+use snapstab_repro::runtime::service::Msg;
 use snapstab_repro::runtime::{
-    project_service_trace, run_monitored_forwarding_service_chaos_on,
-    run_monitored_forwarding_service_on, run_monitored_mutex_service_chaos_on,
-    run_monitored_mutex_service_on, ChaosMix, ChaosPlan, ForwardingServiceConfig, InMemory,
-    LiveConfig, MonitorConfig, MutexServiceConfig, Transport,
+    project_service_trace, run_service, ChaosMix, ChaosPlan, ChaosReport, ForwardingServiceConfig,
+    InMemory, LiveConfig, MonitorApp, MonitorConfig, MonitoredMsg, Monitoring, MutexServiceConfig,
+    ServiceRun, Transport,
 };
 use snapstab_repro::sim::{ProcessId, Trace, TraceEvent};
 
 const LOSS_TIERS: [f64; 3] = [0.0, 0.1, 0.3];
+
+/// Runs `app` monitored per `mon` on the thread backend over
+/// `transport`, under `plan` if given (an empty chaos report if not).
+fn monitored<A: MonitorApp>(
+    app: A,
+    mon: &MonitorConfig,
+    transport: &dyn Transport<MonitoredMsg<Msg<A>>>,
+    plan: Option<&ChaosPlan>,
+) -> (A::MonitoredReport, ChaosReport) {
+    let run = ServiceRun {
+        transport,
+        chaos: plan,
+        ..ServiceRun::default()
+    };
+    let (report, chaos) = run_service(Monitoring::new(app, mon), run).expect("transport spawns");
+    (report, chaos.unwrap_or_default())
+}
 
 /// Skip-and-warn guard: returns `true` (and prints a warning) when the
 /// sandbox forbids UDP loopback sockets.
@@ -87,8 +104,7 @@ fn monitored_mutex_conformance(
 ) {
     let n = 3;
     let cfg = mutex_cfg(n, loss, seed);
-    let report =
-        run_monitored_mutex_service_on(&cfg, &fast_monitor(), transport).expect("transport spawns");
+    let (report, _) = monitored(&cfg, &fast_monitor(), transport, None);
     let total = cfg.requests_per_process * n as u64;
     assert_eq!(
         report.served, total,
@@ -137,8 +153,7 @@ fn monitored_mutex_udp_across_loss_tiers() {
 fn monitored_forwarding_inmem_with_stale_prefill() {
     let n = 3;
     let cfg = forwarding_cfg(n, 0.1, 61);
-    let report = run_monitored_forwarding_service_on(&cfg, &fast_monitor(), &InMemory)
-        .expect("in-memory spawns");
+    let (report, _) = monitored(&cfg, &fast_monitor(), &InMemory, None);
     assert_eq!(report.delivered, cfg.payloads_per_process * n as u64);
     assert!(!report.monitor.cuts.is_empty());
     let trace = report.trace.as_ref().expect("recording on");
@@ -165,9 +180,7 @@ fn monitored_mutex_under_chaos_all_mixes() {
             disruption: Duration::from_millis(15),
             ..ChaosPlan::profile(mix, seed)
         };
-        let (report, chaos) =
-            run_monitored_mutex_service_chaos_on(&cfg, &fast_monitor(), &InMemory, &plan)
-                .expect("in-memory spawns");
+        let (report, chaos) = monitored(&cfg, &fast_monitor(), &InMemory, Some(&plan));
         assert_eq!(chaos.bursts_fired, 2, "{mix:?}");
         assert_eq!(
             report.served,
@@ -197,9 +210,7 @@ fn monitored_forwarding_under_chaos() {
         disruption: Duration::from_millis(15),
         ..ChaosPlan::profile(ChaosMix::All, 83)
     };
-    let (report, chaos) =
-        run_monitored_forwarding_service_chaos_on(&cfg, &fast_monitor(), &InMemory, &plan)
-            .expect("in-memory spawns");
+    let (report, chaos) = monitored(&cfg, &fast_monitor(), &InMemory, Some(&plan));
     assert_eq!(chaos.bursts_fired, 2);
     let trace = report.trace.as_ref().expect("recording on");
     let spec = analyze_snapshot_trace(trace, n, &chaos.fault_steps);

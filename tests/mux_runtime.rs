@@ -25,15 +25,23 @@ use snapstab_repro::core::spec::{
     analyze_forwarding_trace, analyze_me_epochs, analyze_me_trace, check_pif_wave,
 };
 use snapstab_repro::runtime::{
-    run_forwarding_service, run_forwarding_service_mux, run_mutex_service,
-    run_mutex_service_chaos_mux_on, run_mutex_service_mux, ChaosMix, ChaosPlan,
+    run_mutex_service_chaos_mux_on, run_service, Backend, ChaosMix, ChaosPlan,
     ForwardingServiceConfig, InMemory, LiveConfig, MutexServiceConfig, MuxRunner, RuntimeBackend,
-    TraceDetail,
+    ServiceApp, ServiceRun, TraceDetail,
 };
 use snapstab_repro::sim::ProcessId;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
+}
+
+/// `app` on `backend`, in memory.
+fn run_on<A: ServiceApp>(app: A, backend: Backend) -> A::Report {
+    let run = ServiceRun {
+        backend,
+        ..ServiceRun::default()
+    };
+    run_service(app, run).expect("in-memory").0
 }
 
 /// Echoes a fixed per-process feedback value (the same app shape as
@@ -65,8 +73,7 @@ fn mux_pif_wave(n: usize, workers: usize, loss: f64, seed: u64, timeout: Duratio
         ..LiveConfig::default()
     };
     let started = Instant::now();
-    let mut runner =
-        MuxRunner::spawn_with_drivers(pif_fleet(n), (0..n).map(|_| None).collect(), cfg, workers);
+    let mut runner = MuxRunner::spawn(pif_fleet(n), cfg, workers);
     let payload = 7 + seed as u32;
     let request_step = runner.with_process_ctx(p(0), move |proc: &mut Proc, scribe| {
         let step = scribe.mark("request");
@@ -127,8 +134,8 @@ proptest! {
         };
         let total = 2 * n as u64;
 
-        let threads = run_mutex_service(&cfg);
-        let mux = run_mutex_service_mux(&cfg, 2);
+        let threads = run_on(&cfg, Backend::Threads);
+        let mux = run_on(&cfg, Backend::Mux { workers: 2 });
         prop_assert_eq!(threads.served, total, "threads backend serves all");
         prop_assert_eq!(mux.served, total, "mux backend serves all");
         prop_assert_eq!(threads.injected, mux.injected, "same workload injected");
@@ -176,8 +183,8 @@ proptest! {
         };
         let total = 2 * n as u64;
 
-        let threads = run_forwarding_service(&cfg);
-        let mux = run_forwarding_service_mux(&cfg, 2);
+        let threads = run_on(&cfg, Backend::Threads);
+        let mux = run_on(&cfg, Backend::Mux { workers: 2 });
         prop_assert_eq!(threads.delivered, total, "threads backend delivers all");
         prop_assert_eq!(mux.delivered, total, "mux backend delivers all");
 
@@ -247,7 +254,7 @@ fn mux_mutex_spec3_run(n: usize, budget: Duration) -> Option<Duration> {
         },
         time_budget: budget,
     };
-    let report = run_mutex_service_mux(&cfg, 4);
+    let report = run_on(&cfg, Backend::Mux { workers: 4 });
     let trace = report.trace.as_ref().expect("recording on");
     let me = analyze_me_trace(trace, n);
     assert!(

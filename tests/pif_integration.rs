@@ -96,7 +96,8 @@ fn spec1_holds_under_random_scheduler_with_loss() {
 
 #[test]
 fn spec1_holds_at_larger_channel_capacity() {
-    // DESIGN.md D6: the protocol also works at known capacity c > 1.
+    // Deviation D6 (ARCHITECTURE.md §11): the protocol also works at
+    // known capacity c > 1.
     for cap in [2usize, 4] {
         let n = 3;
         let processes = (0..n).map(|i| make(i, n)).collect();

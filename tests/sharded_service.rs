@@ -3,8 +3,8 @@
 //! The same service layer — hash-partitioned resource keys over `S`
 //! independent Algorithm 3 instances, batched grants — runs on both
 //! substrates (`snapstab_core::shard::run_sim_sharded_service` in the
-//! deterministic simulator, `snapstab_runtime::run_sharded_service` on
-//! real OS threads), and both are judged by the same executable
+//! deterministic simulator, `snapstab_runtime::ShardedServiceConfig` on
+//! the live runtime, either backend), and both are judged by the same executable
 //! specifications:
 //!
 //! * every granted batch is conflict-free and routed to the right shard,
@@ -22,7 +22,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use snapstab_repro::core::shard::{project_shard_trace, run_sim_sharded_service, SimShardedConfig};
 use snapstab_repro::core::spec::analyze_me_trace;
-use snapstab_repro::runtime::{run_sharded_service, LiveConfig, ShardedServiceConfig};
+use snapstab_repro::runtime::{run_service, Backend, LiveConfig, ServiceRun, ShardedServiceConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
@@ -55,7 +55,7 @@ proptest! {
             },
             time_budget: Duration::from_secs(40),
         };
-        let report = run_sharded_service(&cfg);
+        let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
         let total = 3 * n as u64;
         prop_assert_eq!(report.served, total, "all live requests served");
         let audit = report.audit();
@@ -137,7 +137,7 @@ fn hot_key_serializes_and_leaders_are_spread() {
         },
         time_budget: Duration::from_secs(40),
     };
-    let report = run_sharded_service(&cfg);
+    let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");
     assert_eq!(report.served, 12);
     let audit = report.audit();
     assert!(audit.holds(), "{audit:?}");
@@ -162,5 +162,46 @@ fn hot_key_serializes_and_leaders_are_spread() {
             report.processes[s % n].shard(s).is_leader(),
             "shard {s}'s designated leader must believe it leads"
         );
+    }
+}
+
+/// The sharded service on the mux backend: the per-shard capacity lanes
+/// reach `Transport::connect` on the same path as on the thread backend,
+/// so the composition needs nothing special — the grant audit and each
+/// shard's Specification 3 hold as they do on threads.
+#[test]
+fn sharded_service_on_mux_audits_and_passes_per_shard_spec3() {
+    let n = 4;
+    let shards = 2;
+    let cfg = ShardedServiceConfig {
+        n,
+        shards,
+        batch: 2,
+        requests_per_process: 4,
+        key_space: 16,
+        cs_duration: 0,
+        live: LiveConfig {
+            seed: 0x5AD,
+            ..LiveConfig::default()
+        },
+        time_budget: Duration::from_secs(40),
+    };
+    let run = ServiceRun {
+        backend: Backend::Mux { workers: 2 },
+        ..ServiceRun::default()
+    };
+    let (report, _) = run_service(&cfg, run).expect("in-memory");
+    assert_eq!(report.served, 16, "every request served on mux");
+    let audit = report.audit();
+    assert!(audit.holds(), "{audit:?}");
+    let trace = report.trace.expect("recording on by default");
+    for s in 0..shards {
+        let me = analyze_me_trace(&project_shard_trace(&trace, s), n);
+        assert!(
+            me.exclusivity_holds(),
+            "shard {s} genuine CS overlap: {:?}",
+            me.genuine_overlaps
+        );
+        assert!(me.all_served(), "shard {s} unserved: {:?}", me.unserved);
     }
 }

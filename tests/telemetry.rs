@@ -12,13 +12,29 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::{analyze_me_epochs, analyze_snapshot_trace};
 use snapstab_repro::runtime::{
-    alert_marks, project_service_trace, run_monitored_mutex_service_chaos_mux_on,
-    run_monitored_mutex_service_mux_on, AlertConfig, AlertKind, ChaosMix, ChaosPlan, InMemory,
-    LiveConfig, MonitorConfig, MutexServiceConfig, Series,
+    alert_marks, project_service_trace, run_service, AlertConfig, AlertKind, Backend, ChaosMix,
+    ChaosPlan, ChaosReport, LiveConfig, MonitorConfig, MonitoredMutexReport, Monitoring,
+    MutexServiceConfig, Series, ServiceRun,
 };
 
 const LOSS_TIERS: [f64; 3] = [0.0, 0.1, 0.3];
 const WORKERS: usize = 2;
+
+/// The mutex service monitored per `mon` on a `WORKERS`-thread mux pool,
+/// in memory, under `plan` if given (an empty chaos report if not).
+fn monitored_mux(
+    cfg: &MutexServiceConfig,
+    mon: &MonitorConfig,
+    plan: Option<&ChaosPlan>,
+) -> (MonitoredMutexReport, ChaosReport) {
+    let run = ServiceRun {
+        backend: Backend::Mux { workers: WORKERS },
+        chaos: plan,
+        ..ServiceRun::default()
+    };
+    let (report, chaos) = run_service(Monitoring::new(cfg, mon), run).expect("in-memory spawns");
+    (report, chaos.unwrap_or_default())
+}
 
 fn mutex_cfg(n: usize, loss: f64, seed: u64) -> MutexServiceConfig {
     MutexServiceConfig {
@@ -51,8 +67,7 @@ fn monitored_mux_across_loss_tiers() {
     for (k, &loss) in LOSS_TIERS.iter().enumerate() {
         let n = 4;
         let cfg = mutex_cfg(n, loss, 90 + k as u64);
-        let report = run_monitored_mutex_service_mux_on(&cfg, &fast_monitor(1), WORKERS, &InMemory)
-            .expect("in-memory spawns");
+        let (report, _) = monitored_mux(&cfg, &fast_monitor(1), None);
         assert_eq!(
             report.served,
             cfg.requests_per_process * n as u64,
@@ -76,8 +91,7 @@ fn monitored_mux_multi_initiator_attribution_and_series() {
     let n = 4;
     let cfg = mutex_cfg(n, 0.1, 97);
     let mon = fast_monitor(2);
-    let report = run_monitored_mutex_service_mux_on(&cfg, &mon, WORKERS, &InMemory)
-        .expect("in-memory spawns");
+    let (report, _) = monitored_mux(&cfg, &mon, None);
     assert_eq!(report.served, cfg.requests_per_process * n as u64);
     assert_eq!(report.monitor.initiators, 2);
     assert!(!report.monitor.cuts.is_empty());
@@ -140,14 +154,7 @@ fn monitored_mux_under_chaos_all_mixes() {
             disruption: Duration::from_millis(15),
             ..ChaosPlan::profile(mix, seed)
         };
-        let (report, chaos) = run_monitored_mutex_service_chaos_mux_on(
-            &cfg,
-            &fast_monitor(1),
-            WORKERS,
-            &InMemory,
-            &plan,
-        )
-        .expect("in-memory spawns");
+        let (report, chaos) = monitored_mux(&cfg, &fast_monitor(1), Some(&plan));
         assert_eq!(chaos.bursts_fired, 2, "{mix:?}");
         assert_eq!(
             report.served,
@@ -196,9 +203,7 @@ fn refusal_streak_alert_fires_under_chaos_and_lands_in_trace() {
         disruption: Duration::from_millis(12),
         ..ChaosPlan::profile(ChaosMix::Corrupt, seed)
     };
-    let (report, chaos) =
-        run_monitored_mutex_service_chaos_mux_on(&cfg, &mon, WORKERS, &InMemory, &plan)
-            .expect("in-memory spawns");
+    let (report, chaos) = monitored_mux(&cfg, &mon, Some(&plan));
     assert_eq!(
         report.served,
         cfg.requests_per_process * n as u64,

@@ -20,7 +20,7 @@ use snapstab_repro::core::spec::{analyze_me_trace, check_pif_wave};
 use snapstab_repro::net::wire::{encode_datagram, Header};
 use snapstab_repro::net::{udp_available, UdpLoopback};
 use snapstab_repro::runtime::{
-    run_mutex_service_on, run_sharded_service_on, Link, LiveConfig, LiveRunner, MutexServiceConfig,
+    run_service, Link, LiveConfig, LiveRunner, MutexServiceConfig, RuntimeBackend, ServiceRun,
     ShardedServiceConfig, Transport,
 };
 use snapstab_repro::sim::ProcessId;
@@ -78,7 +78,7 @@ fn udp_pif_wave_holds(n: usize, loss: f64, seed: u64) {
     };
     let transport = UdpLoopback::new();
     let drivers = (0..n).map(|_| None).collect();
-    let mut runner = LiveRunner::spawn_with_transport(pif_fleet(n), drivers, cfg, &transport)
+    let mut runner = LiveRunner::spawn_with_transport(pif_fleet(n), drivers, cfg, &transport, None)
         .expect("bind loopback sockets");
     let payload = 7 + seed as u32;
     let request_step = runner.with_process_ctx(p(0), move |proc: &mut Proc, scribe| {
@@ -143,7 +143,11 @@ fn udp_mutex_service_trace_satisfies_spec3() {
         time_budget: Duration::from_secs(45),
         ..MutexServiceConfig::default()
     };
-    let report = run_mutex_service_on(&cfg, &UdpLoopback::new()).expect("bind loopback sockets");
+    let udp = ServiceRun {
+        transport: &UdpLoopback::new(),
+        ..ServiceRun::default()
+    };
+    let (report, _) = run_service(&cfg, udp).expect("bind loopback sockets");
     assert_eq!(report.served, 6, "all requests served over UDP");
     let trace = report.trace.expect("recording on by default");
     let me = analyze_me_trace(&trace, cfg.n);
@@ -176,7 +180,11 @@ fn udp_lossy_mutex_service_still_serves() {
         time_budget: Duration::from_secs(45),
         ..MutexServiceConfig::default()
     };
-    let report = run_mutex_service_on(&cfg, &UdpLoopback::new()).expect("bind loopback sockets");
+    let udp = ServiceRun {
+        transport: &UdpLoopback::new(),
+        ..ServiceRun::default()
+    };
+    let (report, _) = run_service(&cfg, udp).expect("bind loopback sockets");
     assert_eq!(report.served, 3, "all requests served under 20% loss");
     assert!(report.stats.links.lost_in_transit > 0, "loss was active");
 }
@@ -202,7 +210,11 @@ fn udp_sharded_service_audits_and_passes_per_shard_spec3() {
         time_budget: Duration::from_secs(45),
         ..ShardedServiceConfig::default()
     };
-    let report = run_sharded_service_on(&cfg, &UdpLoopback::new()).expect("bind loopback sockets");
+    let udp = ServiceRun {
+        transport: &UdpLoopback::new(),
+        ..ServiceRun::default()
+    };
+    let (report, _) = run_service(&cfg, udp).expect("bind loopback sockets");
     assert_eq!(report.served, 18, "all requests served over UDP");
     let audit = report.audit();
     assert!(audit.holds(), "{audit:?}");
