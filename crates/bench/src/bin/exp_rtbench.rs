@@ -2,7 +2,7 @@
 //! baseline + sharded/batched + in-memory-vs-UDP transport comparison +
 //! the snap-stabilizing forwarding service + the chaos-engine recovery
 //! sweep + the snapshot-monitor observability overhead pairs + the
-//! thread-per-process-vs-mux runtime comparison); writes
+//! n ≥ 256 scale rows); writes
 //! `BENCH_RUNTIME.json` so future PRs have a live-path trajectory to
 //! compare against.
 //!

@@ -1,10 +1,12 @@
 //! **Q6 — live-runtime mutex-service throughput, single-leader and
 //! sharded.**
 //!
-//! Drives the `snapstab-runtime` mutex services — Algorithm 3 on one OS
-//! thread per process over the concurrent lossy transport — with a
-//! saturating client request stream, and reports end-to-end requests/sec,
-//! grants/sec and transport msgs/sec.
+//! Drives the `snapstab-runtime` mutex services — Algorithm 3, one
+//! instance per process on the runtime's worker pool, over the concurrent
+//! lossy transport — with a saturating client request stream, and reports
+//! end-to-end requests/sec, grants/sec and transport msgs/sec. Every row
+//! runs on a [`DEFAULT_WORKERS`] pool unless it records its own
+//! `workers`.
 //!
 //! Seven sweeps feed `BENCH_RUNTIME.json`:
 //!
@@ -48,15 +50,9 @@
 //!   is gated by a trace-recorded audit run at the same configuration
 //!   whose every decided cut must pass executable Specification 5
 //!   (`analyze_snapshot_trace`) before the row can land in the artifact;
-//! * the **mux** runtime sweep ([`Backend::Mux`]): the
-//!   single-leader service on the event-driven multiplexed backend —
-//!   N protocol instances over a small worker pool — at
-//!   `n ∈ {64, 256, 1024}`, paired with the thread backend at `n = 64`
-//!   (its practical ceiling on this class of hardware; larger n are
-//!   mux-only). Every row carries a `backend` tag (`threads`/`mux`) and
-//!   the pool size, so the committed pair is the acceptance evidence
-//!   that the mux backend beats thread-per-process where both exist and
-//!   keeps scaling where threads cannot.
+//! * the **mux** scale sweep: the single-leader service at
+//!   `n ∈ {256, 1024}` on a 4-worker pool, each row carrying its pool
+//!   size.
 //!
 //! Every sweep runs through the one driver, [`run_service`].
 //!
@@ -71,9 +67,9 @@ use snapstab_core::spec::{analyze_me_epochs, analyze_snapshot_trace};
 use snapstab_net::{UdpLoopback, Wire};
 use snapstab_runtime::service::Msg;
 use snapstab_runtime::{
-    run_service, Backend, ChaosMix, ChaosPlan, ChaosReport, ForwardingServiceConfig, InMemory,
-    LiveConfig, MonitorConfig, Monitoring, MutexServiceConfig, ServiceApp, ServiceRun,
-    ShardedServiceConfig, Transport,
+    run_service, ChaosMix, ChaosPlan, ChaosReport, ForwardingServiceConfig, InMemory, LiveConfig,
+    MonitorConfig, Monitoring, MutexServiceConfig, ServiceApp, ServiceRun, ShardedServiceConfig,
+    TraceDetail, Transport, DEFAULT_WORKERS,
 };
 
 use crate::jsonv::{self, Value};
@@ -90,12 +86,12 @@ pub enum RtTransport {
 }
 
 impl RtTransport {
-    /// Runs `app` over this transport on `backend`, under `chaos` if
-    /// given.
+    /// Runs `app` over this transport on a `workers`-thread pool, under
+    /// `chaos` if given.
     fn run<A: ServiceApp>(
         self,
         app: A,
-        backend: Backend,
+        workers: usize,
         chaos: Option<&ChaosPlan>,
     ) -> (A::Report, Option<ChaosReport>)
     where
@@ -112,7 +108,7 @@ impl RtTransport {
         run_service(
             app,
             ServiceRun {
-                backend,
+                workers,
                 transport,
                 chaos,
             },
@@ -141,7 +137,7 @@ impl RtTransport {
 /// One measured configuration (baseline rows have `shards == batch == 1`).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RtResult {
-    /// System size (worker threads).
+    /// System size (protocol instances).
     pub n: usize,
     /// The transport backend the row was measured on.
     pub transport: RtTransport,
@@ -229,7 +225,7 @@ pub fn measure(
         },
         time_budget: budget,
     };
-    let (report, _) = transport.run(&cfg, Backend::Threads, None);
+    let (report, _) = transport.run(&cfg, DEFAULT_WORKERS, None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     RtResult {
         n,
@@ -283,7 +279,7 @@ pub fn measure_sharded(
     } else {
         cfg
     };
-    let (report, _) = RtTransport::InMem.run(&cfg, Backend::Threads, None);
+    let (report, _) = RtTransport::InMem.run(&cfg, DEFAULT_WORKERS, None);
     let cs_entries = report
         .processes
         .iter()
@@ -428,7 +424,7 @@ pub fn measure_forwarding(
         },
         time_budget: budget,
     };
-    let (report, _) = transport.run(&cfg, Backend::Threads, None);
+    let (report, _) = transport.run(&cfg, DEFAULT_WORKERS, None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     RtResult {
         n,
@@ -587,55 +583,13 @@ pub fn sweep_sharded(fast: bool) -> Vec<RtResult> {
     results
 }
 
-/// The runtime backend a mux-sweep row was measured on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RtBackend {
-    /// One OS thread per process (`snapstab_runtime::LiveRunner`).
-    Threads,
-    /// The event-driven multiplexed runtime (`snapstab_runtime::MuxRunner`):
-    /// N protocol instances over a small worker pool.
-    Mux,
-}
-
-impl RtBackend {
-    /// The runtime backend this tag names, with `workers` pool threads
-    /// for mux.
-    fn runtime(self, workers: usize) -> Backend {
-        match self {
-            RtBackend::Threads => Backend::Threads,
-            RtBackend::Mux => Backend::Mux { workers },
-        }
-    }
-
-    /// The JSON tag of this backend.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RtBackend::Threads => "threads",
-            RtBackend::Mux => "mux",
-        }
-    }
-
-    /// Parses a JSON tag.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(RtBackend::Threads),
-            "mux" => Some(RtBackend::Mux),
-            _ => None,
-        }
-    }
-}
-
-/// One measured mux-sweep configuration: the single-leader mutex service
-/// on either runtime backend, in-memory transport. `workers` is the mux
-/// pool size; thread-backend rows record `workers == n` (one OS thread
-/// per process).
+/// One measured scale configuration: the single-leader mutex service on
+/// a `workers`-thread pool, in-memory transport.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MuxResult {
     /// System size (protocol instances).
     pub n: usize,
-    /// The runtime backend the row was measured on.
-    pub backend: RtBackend,
-    /// Worker threads actually running the instances.
+    /// Pool worker threads running the instances.
     pub workers: usize,
     /// In-transit loss probability.
     pub loss: f64,
@@ -667,13 +621,11 @@ impl MuxResult {
     }
 }
 
-/// Measures one mux-sweep configuration: `requests_per_process` client
-/// requests per process on the given runtime backend (in-memory
-/// transport), stopping early at `budget`. Thread-backend rows ignore
-/// `workers` and record `n` (one OS thread per process).
+/// Measures one scale configuration: `requests_per_process` client
+/// requests per process on a `workers`-thread pool (in-memory
+/// transport), stopping early at `budget`.
 pub fn measure_mux(
     n: usize,
-    backend: RtBackend,
     workers: usize,
     loss: f64,
     requests_per_process: u64,
@@ -692,15 +644,10 @@ pub fn measure_mux(
         },
         time_budget: budget,
     };
-    let workers = match backend {
-        RtBackend::Threads => n,
-        RtBackend::Mux => workers,
-    };
-    let (report, _) = RtTransport::InMem.run(&cfg, backend.runtime(workers), None);
+    let (report, _) = RtTransport::InMem.run(&cfg, workers, None);
     let (mean_latency_ns, p50_latency_ns, p99_latency_ns) = latency_stats(&report.latencies);
     MuxResult {
         n,
-        backend,
         workers,
         loss,
         injected: report.injected,
@@ -713,13 +660,9 @@ pub fn measure_mux(
     }
 }
 
-/// Runs the mux runtime sweep: the thread backend at `n = 64` — its
-/// practical ceiling on this class of hardware, where one OS thread per
-/// process collapses to tens of req/s — paired with the event-driven
-/// mux backend at `n ∈ {64, 256, 1024}` on a 4-worker pool (`--fast`:
-/// one tiny `n = 4` pair). Thread rows above `n = 64` are deliberately
-/// absent: a 1024-thread run spends its budget context-switching
-/// instead of finishing the workload.
+/// Runs the scale sweep: the single-leader service at `n ∈ {256, 1024}`
+/// on a 4-worker pool (`--fast`: one tiny `n = 4` row on the default
+/// pool).
 pub fn sweep_mux(fast: bool) -> Vec<MuxResult> {
     let budget = if fast {
         Duration::from_secs(20)
@@ -727,38 +670,18 @@ pub fn sweep_mux(fast: bool) -> Vec<MuxResult> {
         Duration::from_secs(150)
     };
     if fast {
-        return vec![
-            measure_mux(4, RtBackend::Threads, 4, 0.0, 5, budget, 0x30C),
-            measure_mux(4, RtBackend::Mux, 2, 0.0, 5, budget, 0x30C),
-        ];
+        return vec![measure_mux(4, DEFAULT_WORKERS, 0.0, 5, budget, 0x30C)];
     }
-    let mut rows = vec![measure_mux(
-        64,
-        RtBackend::Threads,
-        64,
-        0.0,
-        12,
-        budget,
-        0x30C ^ 64,
-    )];
     // The leader's Value rotation is O(n) messages per grant, so the
-    // per-process queue shrinks as n grows. The n = 64 row completes
-    // inside the budget; the larger rows deliberately overfill it and
-    // saturate the service for the full 150s, so their `served`/`wall`
-    // ratio is a *sustained* throughput measurement (`served` <
-    // `injected` is expected there, not an error).
-    for (n, per_process) in [(64usize, 50u64), (256, 6), (1024, 2)] {
-        rows.push(measure_mux(
-            n,
-            RtBackend::Mux,
-            4,
-            0.0,
-            per_process,
-            budget,
-            0x30C ^ n as u64,
-        ));
-    }
-    rows
+    // per-process queue shrinks as n grows. Both rows deliberately
+    // overfill the budget and saturate the service for the full 150s,
+    // so their `served`/`wall` ratio is a *sustained* throughput
+    // measurement (`served` < `injected` is expected there, not an
+    // error).
+    [(256usize, 6u64), (1024, 2)]
+        .into_iter()
+        .map(|(n, per_process)| measure_mux(n, 4, 0.0, per_process, budget, 0x30C ^ n as u64))
+        .collect()
 }
 
 /// One measured chaos configuration: the single-leader mutex service
@@ -766,7 +689,7 @@ pub fn sweep_mux(fast: bool) -> Vec<MuxResult> {
 /// self-healing runtime, judged per epoch by executable Specification 3.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ChaosRow {
-    /// System size (worker threads).
+    /// System size (protocol instances).
     pub n: usize,
     /// The transport backend the row was measured on.
     pub transport: RtTransport,
@@ -835,7 +758,7 @@ pub fn measure_chaos(
         disruption,
         ..ChaosPlan::profile(mix, seed)
     };
-    let (report, chaos) = transport.run(&cfg, Backend::Threads, Some(&plan));
+    let (report, chaos) = transport.run(&cfg, DEFAULT_WORKERS, Some(&plan));
     let chaos = chaos.expect("chaos plan was given");
     let trace = report.trace.as_ref().expect("chaos rows record the trace");
     let epochs = analyze_me_epochs(trace, n, &chaos.fault_steps);
@@ -883,13 +806,14 @@ pub fn sweep_chaos(fast: bool) -> Vec<ChaosRow> {
     ];
     if fast {
         // 3 bursts × 30 ms quiet: 40 requests per process finished before
-        // the first burst on a fast host, leaving no recovery sample.
+        // the first burst on a fast host, leaving no recovery sample; the
+        // pool serves n = 3 at several thousand req/s.
         return vec![measure_chaos(
             3,
             RtTransport::InMem,
             ChaosMix::All,
             0.0,
-            400,
+            1_500,
             Duration::from_millis(30),
             Duration::from_millis(20),
             Duration::from_secs(60),
@@ -898,9 +822,9 @@ pub fn sweep_chaos(fast: bool) -> Vec<ChaosRow> {
     }
     let mut rows = Vec::new();
     for (i, mix) in MIXES.into_iter().enumerate() {
-        // ~950 req/s at n = 8; 3 bursts × 200ms quiet ≈ 0.8s of
-        // schedule, so 400 × 8 = 3200 requests (~3.4s) comfortably
-        // outlast it even when the chaos halves throughput.
+        // ~2 000 req/s at n = 8 under the `all` mix; 3 bursts × 200ms
+        // quiet ≈ 0.8s of schedule, so 400 × 8 = 3200 requests (~1.6s)
+        // outlast it.
         rows.push(measure_chaos(
             8,
             RtTransport::InMem,
@@ -950,11 +874,7 @@ pub struct ObservabilityRow {
     pub n: usize,
     /// The transport backend both halves of the pair ran on.
     pub transport: RtTransport,
-    /// The runtime backend both halves ran on (thread-per-process or
-    /// the event-driven mux pool).
-    pub backend: RtBackend,
-    /// Worker threads actually running the instances (thread-backend
-    /// rows record `n`).
+    /// Pool worker threads running the instances.
     pub workers: u64,
     /// Concurrent snapshot initiators, each on its own single-flight
     /// ledger and independent schedule.
@@ -1035,15 +955,15 @@ const OBS_SAMPLES: usize = 3;
 /// the wall clock and its allocation pressure swamps the monitor's
 /// cost, which is the number this row exists to isolate. The
 /// Specification 5 gate runs separately: a shorter monitored run at
-/// the *same* configuration with the trace on, every decided cut
-/// judged; a failed verdict — or a cut count disagreeing with what the
+/// the *same* configuration with the trace on at `TraceDetail::Spec`
+/// (a full-detail trace of the n ≥ 64 rows outgrows memory), every
+/// decided cut judged; a failed verdict — or a cut count disagreeing with what the
 /// harness collected — panics, so a configuration producing
 /// inconsistent cuts can never land in the committed artifact.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_observability(
     n: usize,
     transport: RtTransport,
-    backend: RtBackend,
     workers: usize,
     initiators: usize,
     interval: Duration,
@@ -1059,6 +979,7 @@ pub fn measure_observability(
             loss: 0.0,
             seed,
             record_trace,
+            detail: TraceDetail::Spec,
             ..LiveConfig::default()
         },
         time_budget: budget,
@@ -1068,11 +989,10 @@ pub fn measure_observability(
         initiators,
         ..MonitorConfig::default()
     };
-    let runtime = backend.runtime(workers);
-    let run_base = |cfg: &MutexServiceConfig| transport.run(cfg, runtime, None).0;
+    let run_base = |cfg: &MutexServiceConfig| transport.run(cfg, workers, None).0;
     let run_mon = |cfg: &MutexServiceConfig| {
         transport
-            .run(Monitoring::new(cfg, &mon_cfg), runtime, None)
+            .run(Monitoring::new(cfg, &mon_cfg), workers, None)
             .0
     };
     let pair_cfg = cfg(false, requests_per_process);
@@ -1100,9 +1020,8 @@ pub fn measure_observability(
     let spec = analyze_snapshot_trace(trace, n, &[]);
     assert!(
         spec.holds(),
-        "Specification 5 FAILED for the monitored audit run (n = {n}, {}, {}, seed {seed}): {spec:?}",
+        "Specification 5 FAILED for the monitored audit run (n = {n}, {}, {workers} workers, seed {seed}): {spec:?}",
         transport.as_str(),
-        backend.as_str(),
     );
     assert_eq!(
         spec.cuts_decided(),
@@ -1130,11 +1049,7 @@ pub fn measure_observability(
     ObservabilityRow {
         n,
         transport,
-        backend,
-        workers: match backend {
-            RtBackend::Threads => n as u64,
-            RtBackend::Mux => workers as u64,
-        },
+        workers: workers as u64,
         initiators: initiators as u64,
         interval_ms: interval.as_millis() as u64,
         injected: base.injected,
@@ -1152,36 +1067,31 @@ pub fn measure_observability(
 }
 
 /// Runs the observability sweep: monitor-off-vs-on pairs at
-/// `n ∈ {8, 16}` on the thread backend — the `n = 8`, 100 ms-interval
-/// row is the committed acceptance point (≥ 1 cut/s sustained, < 10%
-/// req/s overhead), with a 4×-denser 25 ms row at the same workload
-/// and an `n = 16` spot check — plus monitor-on-mux pairs at
-/// `n ∈ {64, 256}` (the monitor composed with the event-driven
-/// multiplexed backend through the same `RuntimeBackend` seam) and a
-/// `K = 2` concurrent-initiator row at `n = 64` whose decided cuts are
-/// attributed per requesting ledger (`--fast`: one tiny thread pair
-/// and one tiny `K = 2` mux pair). Full-size thread rows assert the
-/// ≥ 1 cut/s floor; mux rows assert at least one decided cut — at
+/// `n ∈ {8, 16}` on the default pool — the `n = 8`, 100 ms-interval row
+/// is the committed acceptance point (≥ 1 cut/s sustained, < 10% req/s
+/// overhead), with a 4×-denser 25 ms row at the same workload and an
+/// `n = 16` spot check — plus pairs at `n ∈ {64, 256}` on a 4-worker
+/// pool and a `K = 2` concurrent-initiator row at `n = 64` whose decided
+/// cuts are attributed per requesting ledger (`--fast`: one tiny pair
+/// and one tiny `K = 2` pair). Full-size rows below `n = 64` assert the
+/// ≥ 1 cut/s floor; larger rows assert at least one decided cut — at
 /// `n = 256` the budget truncates the workload, so the pair measures
 /// sustained rates, not completion.
 pub fn sweep_observability(fast: bool) -> Vec<ObservabilityRow> {
-    // `(n, backend, workers, initiators, interval_ms,
-    // requests_per_process)`; thread rows sized for ~10–20s per half at
-    // the PR 2 baseline rates, mux rows at the PR 7 mux-sweep rates
-    // (n = 64: ~90 req/s; n = 256: single-digit).
-    let grid: &[(usize, RtBackend, usize, usize, u64, u64)] = if fast {
+    // `(n, workers, initiators, interval_ms, requests_per_process)`.
+    let grid: &[(usize, usize, usize, u64, u64)] = if fast {
         &[
-            (4, RtBackend::Threads, 4, 1, 20, 5),
-            (4, RtBackend::Mux, 2, 2, 20, 3),
+            (4, DEFAULT_WORKERS, 1, 20, 5),
+            (4, DEFAULT_WORKERS, 2, 20, 3),
         ]
     } else {
         &[
-            (8, RtBackend::Threads, 8, 1, 100, 1_200),
-            (8, RtBackend::Threads, 8, 1, 25, 1_200),
-            (16, RtBackend::Threads, 16, 1, 100, 300),
-            (64, RtBackend::Mux, 4, 1, 100, 12),
-            (64, RtBackend::Mux, 4, 2, 100, 12),
-            (256, RtBackend::Mux, 4, 1, 200, 1),
+            (8, DEFAULT_WORKERS, 1, 100, 1_200),
+            (8, DEFAULT_WORKERS, 1, 25, 1_200),
+            (16, DEFAULT_WORKERS, 1, 100, 300),
+            (64, 4, 1, 100, 12),
+            (64, 4, 2, 100, 12),
+            (256, 4, 1, 200, 1),
         ]
     };
     let budget = if fast {
@@ -1190,11 +1100,10 @@ pub fn sweep_observability(fast: bool) -> Vec<ObservabilityRow> {
         Duration::from_secs(60)
     };
     let mut rows = Vec::new();
-    for &(n, backend, workers, initiators, interval_ms, per_process) in grid {
+    for &(n, workers, initiators, interval_ms, per_process) in grid {
         let row = measure_observability(
             n,
             RtTransport::InMem,
-            backend,
             workers,
             initiators,
             Duration::from_millis(interval_ms),
@@ -1203,16 +1112,14 @@ pub fn sweep_observability(fast: bool) -> Vec<ObservabilityRow> {
             0x0B5E ^ n as u64 ^ ((initiators as u64) << 32),
         );
         if !fast {
-            match backend {
-                RtBackend::Threads => assert!(
+            if n < 64 {
+                assert!(
                     row.cuts_per_sec() >= 1.0,
                     "monitored run at n = {n} decided only {:.2} cuts/s (< 1)",
                     row.cuts_per_sec(),
-                ),
-                RtBackend::Mux => assert!(
-                    row.cuts >= 1,
-                    "monitored mux run at n = {n} decided no cuts"
-                ),
+                );
+            } else {
+                assert!(row.cuts >= 1, "monitored run at n = {n} decided no cuts");
             }
         }
         rows.push(row);
@@ -1270,10 +1177,9 @@ const CHAOS_COLUMNS: [&str; 11] = [
     "rec p99 ms",
 ];
 
-const OBS_COLUMNS: [&str; 16] = [
+const OBS_COLUMNS: [&str; 15] = [
     "n",
     "transport",
-    "backend",
     "workers",
     "inits",
     "ival ms",
@@ -1294,7 +1200,6 @@ fn push_obs_rows(table: &mut Table, rows: &[ObservabilityRow]) {
         table.row(&[
             r.n.to_string(),
             r.transport.as_str().to_string(),
-            r.backend.as_str().to_string(),
             r.workers.to_string(),
             r.initiators.to_string(),
             r.interval_ms.to_string(),
@@ -1312,15 +1217,14 @@ fn push_obs_rows(table: &mut Table, rows: &[ObservabilityRow]) {
     }
 }
 
-const MUX_COLUMNS: [&str; 10] = [
-    "n", "backend", "workers", "loss", "served", "req/s", "msgs/s", "mean ms", "p50 ms", "p99 ms",
+const MUX_COLUMNS: [&str; 9] = [
+    "n", "workers", "loss", "served", "req/s", "msgs/s", "mean ms", "p50 ms", "p99 ms",
 ];
 
 fn push_mux_rows(table: &mut Table, rows: &[MuxResult]) {
     for r in rows {
         table.row(&[
             r.n.to_string(),
-            r.backend.as_str().to_string(),
             r.workers.to_string(),
             format!("{:.1}", r.loss),
             r.served.to_string(),
@@ -1363,7 +1267,9 @@ pub fn render(
     mux: &[MuxResult],
 ) -> String {
     let mut out = String::new();
-    out.push_str("=== Q6: live-runtime services (1 OS thread per process) ===\n\n");
+    out.push_str(&format!(
+        "=== Q6: live-runtime services (one instance per process, {DEFAULT_WORKERS}-worker pool unless a row says otherwise) ===\n\n"
+    ));
     out.push_str("baseline (single leader, one request per grant):\n");
     let mut table = Table::new(&COLUMNS);
     push_rows(&mut table, baseline);
@@ -1408,10 +1314,7 @@ pub fn render(
         out.push_str(&table.render());
     }
     if !mux.is_empty() {
-        out.push_str(
-            "\nruntime comparison (thread-per-process vs event-driven mux \
-             worker pool, single leader):\n",
-        );
+        out.push_str("\nscale (single leader, sustained over the budget):\n");
         let mut table = Table::new(&MUX_COLUMNS);
         push_mux_rows(&mut table, mux);
         out.push_str(&table.render());
@@ -1493,10 +1396,9 @@ fn obs_row_json(r: &ObservabilityRow) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\"n\": {}, \"transport\": \"{}\", \"backend\": \"{}\", \"workers\": {}, \"initiators\": {}, \"interval_ms\": {}, \"injected\": {}, \"base_served\": {}, \"mon_served\": {}, \"base_wall_ns\": {}, \"mon_wall_ns\": {}, \"base_requests_per_sec\": {:.1}, \"mon_requests_per_sec\": {:.1}, \"overhead_pct\": {:.2}, \"base_p99_latency_ns\": {}, \"mon_p99_latency_ns\": {}, \"cuts\": {}, \"cuts_per_sec\": {:.2}, \"refused\": {}, \"mean_staleness_ns\": {}, \"per_initiator_cuts\": [{per_initiator}]}}",
+        "{{\"n\": {}, \"transport\": \"{}\", \"workers\": {}, \"initiators\": {}, \"interval_ms\": {}, \"injected\": {}, \"base_served\": {}, \"mon_served\": {}, \"base_wall_ns\": {}, \"mon_wall_ns\": {}, \"base_requests_per_sec\": {:.1}, \"mon_requests_per_sec\": {:.1}, \"overhead_pct\": {:.2}, \"base_p99_latency_ns\": {}, \"mon_p99_latency_ns\": {}, \"cuts\": {}, \"cuts_per_sec\": {:.2}, \"refused\": {}, \"mean_staleness_ns\": {}, \"per_initiator_cuts\": [{per_initiator}]}}",
         r.n,
         r.transport.as_str(),
-        r.backend.as_str(),
         r.workers,
         r.initiators,
         r.interval_ms,
@@ -1519,9 +1421,8 @@ fn obs_row_json(r: &ObservabilityRow) -> String {
 
 fn mux_row_json(r: &MuxResult) -> String {
     format!(
-        "{{\"n\": {}, \"backend\": \"{}\", \"workers\": {}, \"loss\": {}, \"injected\": {}, \"served\": {}, \"msgs\": {}, \"wall_ns\": {}, \"requests_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}, \"mean_latency_ns\": {}, \"p50_latency_ns\": {}, \"p99_latency_ns\": {}}}",
+        "{{\"n\": {}, \"workers\": {}, \"loss\": {}, \"injected\": {}, \"served\": {}, \"msgs\": {}, \"wall_ns\": {}, \"requests_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}, \"mean_latency_ns\": {}, \"p50_latency_ns\": {}, \"p99_latency_ns\": {}}}",
         r.n,
-        r.backend.as_str(),
         r.workers,
         r.loss,
         r.injected,
@@ -1709,8 +1610,8 @@ fn chaos_row_from_value(row: &Value) -> Result<ChaosRow, String> {
 
 /// The source (non-derived) numeric fields of one observability JSON
 /// row, in emission order — the schema the round-trip check enforces.
-/// `transport` and `backend` ride alongside as string tags,
-/// `per_initiator_cuts` as an array of numbers.
+/// `transport` rides alongside as a string tag, `per_initiator_cuts` as
+/// an array of numbers.
 const OBS_ROW_FIELDS: [&str; 18] = [
     "n",
     "workers",
@@ -1747,13 +1648,6 @@ fn obs_row_from_value(row: &Value) -> Result<ObservabilityRow, String> {
         Some(_) => return Err("field `transport` is not a string".into()),
         None => return Err("missing field `transport`".into()),
     };
-    let backend = match row.get("backend") {
-        Some(Value::Str(s)) => {
-            RtBackend::parse(s).ok_or_else(|| format!("unknown `backend` tag `{s}`"))?
-        }
-        Some(_) => return Err("field `backend` is not a string".into()),
-        None => return Err("missing field `backend`".into()),
-    };
     let per_initiator_cuts = match row.get("per_initiator_cuts") {
         Some(Value::Arr(items)) => items
             .iter()
@@ -1770,7 +1664,6 @@ fn obs_row_from_value(row: &Value) -> Result<ObservabilityRow, String> {
     Ok(ObservabilityRow {
         n: num("n") as usize,
         transport,
-        backend,
         workers: num("workers") as u64,
         initiators: num("initiators") as u64,
         interval_ms: num("interval_ms") as u64,
@@ -1789,8 +1682,7 @@ fn obs_row_from_value(row: &Value) -> Result<ObservabilityRow, String> {
 }
 
 /// The source (non-derived) numeric fields of one mux JSON row, in
-/// emission order — the schema the round-trip check enforces. `backend`
-/// rides alongside as a string tag.
+/// emission order — the schema the round-trip check enforces.
 const MUX_ROW_FIELDS: [&str; 12] = [
     "n",
     "workers",
@@ -1814,17 +1706,9 @@ fn mux_row_from_value(row: &Value) -> Result<MuxResult, String> {
             None => return Err(format!("missing field `{field}`")),
         }
     }
-    let backend = match row.get("backend") {
-        Some(Value::Str(s)) => {
-            RtBackend::parse(s).ok_or_else(|| format!("unknown `backend` tag `{s}`"))?
-        }
-        Some(_) => return Err("field `backend` is not a string".into()),
-        None => return Err("missing field `backend`".into()),
-    };
     let num = |field: &str| row.get(field).and_then(Value::as_num).expect("checked");
     Ok(MuxResult {
         n: num("n") as usize,
-        backend,
         workers: num("workers") as usize,
         loss: num("loss"),
         injected: num("injected") as u64,
@@ -2079,11 +1963,10 @@ mod tests {
         }
     }
 
-    fn sample_mux_row(n: usize, backend: RtBackend) -> MuxResult {
+    fn sample_mux_row(n: usize) -> MuxResult {
         MuxResult {
             n,
-            backend,
-            workers: if backend == RtBackend::Mux { 4 } else { n },
+            workers: 4,
             loss: 0.0,
             injected: 10,
             served: 10,
@@ -2099,8 +1982,7 @@ mod tests {
         ObservabilityRow {
             n,
             transport: RtTransport::InMem,
-            backend: RtBackend::Threads,
-            workers: n as u64,
+            workers: 2,
             initiators: 1,
             interval_ms,
             injected: 10,
@@ -2119,7 +2001,6 @@ mod tests {
 
     fn sample_obs_mux_row(n: usize, initiators: usize) -> ObservabilityRow {
         ObservabilityRow {
-            backend: RtBackend::Mux,
             workers: 4,
             initiators: initiators as u64,
             cuts: 4,
@@ -2172,11 +2053,7 @@ mod tests {
             sample_obs_row(16, 25),
             sample_obs_mux_row(64, 2),
         ];
-        let mux = vec![
-            sample_mux_row(64, RtBackend::Threads),
-            sample_mux_row(64, RtBackend::Mux),
-            sample_mux_row(1024, RtBackend::Mux),
-        ];
+        let mux = vec![sample_mux_row(256), sample_mux_row(1024)];
         let j = to_json(&baseline, &sharded, &udp, &forwarding, &chaos, &obs, &mux);
         assert!(j.contains("live_runtime_mutex_service"));
         assert!(j.contains("\"p99_latency_ns\": 9000"));
@@ -2190,12 +2067,11 @@ mod tests {
         assert!(j.contains("\"interval_ms\": 100"));
         assert!(j.contains("\"mean_staleness_ns\": 450000"));
         assert!(j.contains("\"mux\": ["));
-        assert!(j.contains("\"backend\": \"threads\""));
-        assert!(j.contains("\"backend\": \"mux\""));
+        assert!(!j.contains("\"backend\""));
         assert!(j.contains("\"workers\": 4"));
         assert!(j.contains("\"initiators\": 2"));
         assert!(j.contains("\"per_initiator_cuts\": [3, 1]"));
-        assert!(j.contains("\"total_served\": 180"));
+        assert!(j.contains("\"total_served\": 170"));
         assert!(j.trim_end().ends_with('}'));
         let (b, s, u, f, c, o, m, total) = from_json(&j).expect("parses");
         assert_eq!(b, baseline);
@@ -2205,7 +2081,7 @@ mod tests {
         assert_eq!(c, chaos);
         assert_eq!(o, obs);
         assert_eq!(m, mux);
-        assert_eq!(total, 180);
+        assert_eq!(total, 170);
         validate_roundtrip(
             &j,
             &baseline,
@@ -2268,10 +2144,7 @@ mod tests {
     #[test]
     fn from_json_rejects_mux_drift() {
         let baseline = vec![sample_row(8, 1, 1)];
-        let mux = vec![
-            sample_mux_row(64, RtBackend::Threads),
-            sample_mux_row(256, RtBackend::Mux),
-        ];
+        let mux = vec![sample_mux_row(256), sample_mux_row(1024)];
         let good = to_json(&baseline, &[], &[], &[], &[], &[], &mux);
         // A pre-mux-era document without the mux array is drift: it must
         // be regenerated, not silently accepted.
@@ -2280,18 +2153,13 @@ mod tests {
         let no_mux = format!("{head}{mux_tail}");
         let err = from_json(&no_mux).unwrap_err();
         assert!(err.contains("mux"), "{err}");
-        // A renamed workers field is drift.
+        // A renamed, mistyped or missing workers field is drift.
         let renamed = good.replace("\"workers\"", "\"pool\"");
         assert!(from_json(&renamed).unwrap_err().contains("workers"));
-        // An unknown, mistyped or missing backend tag is drift.
-        let bad_tag = good.replace("\"backend\": \"mux\"", "\"backend\": \"fibers\"");
-        assert!(from_json(&bad_tag).unwrap_err().contains("fibers"));
-        let numeric_tag = good.replace("\"backend\": \"mux\"", "\"backend\": 1");
-        assert!(from_json(&numeric_tag)
-            .unwrap_err()
-            .contains("not a string"));
-        let missing_tag = good.replace("\"backend\": \"mux\", ", "");
-        assert!(from_json(&missing_tag).unwrap_err().contains("backend"));
+        let stringly = good.replace("\"workers\": 4", "\"workers\": \"4\"");
+        assert!(from_json(&stringly).unwrap_err().contains("not a number"));
+        let missing = good.replace("\"workers\": 4, ", "");
+        assert!(from_json(&missing).unwrap_err().contains("workers"));
         // Mux served counts toward the total cross-check.
         let wrong_total = good.replace("\"total_served\": 30", "\"total_served\": 10");
         assert!(from_json(&wrong_total)
@@ -2372,21 +2240,17 @@ mod tests {
         assert!(from_json(&stringly).unwrap_err().contains("not a number"));
         // So are a missing, mistyped or unknown transport tag.
         let missing_transport =
-            good.replace("\"transport\": \"inmem\", \"backend\"", "\"backend\"");
+            good.replace("\"transport\": \"inmem\", \"workers\"", "\"workers\"");
         assert!(from_json(&missing_transport)
             .unwrap_err()
             .contains("transport"));
         let bad_tag = good.replace(
-            "\"transport\": \"inmem\", \"backend\"",
-            "\"transport\": \"tcp\", \"backend\"",
+            "\"transport\": \"inmem\", \"workers\"",
+            "\"transport\": \"tcp\", \"workers\"",
         );
         assert!(from_json(&bad_tag).unwrap_err().contains("tcp"));
-        // A pre-telemetry-era row without the runtime-backend tag or
-        // the per-initiator attribution is drift.
-        let missing_backend = good.replace("\"backend\": \"threads\", ", "");
-        assert!(from_json(&missing_backend).unwrap_err().contains("backend"));
-        let bad_backend = good.replace("\"backend\": \"threads\"", "\"backend\": \"fibers\"");
-        assert!(from_json(&bad_backend).unwrap_err().contains("fibers"));
+        // A pre-telemetry-era row without the per-initiator attribution
+        // is drift.
         let missing_attr = good.replace(", \"per_initiator_cuts\": [4]", "");
         assert!(from_json(&missing_attr)
             .unwrap_err()
@@ -2421,8 +2285,7 @@ mod tests {
         let r = measure_observability(
             3,
             RtTransport::InMem,
-            RtBackend::Threads,
-            3,
+            1,
             1,
             Duration::from_millis(5),
             3,
@@ -2535,14 +2398,13 @@ mod tests {
 
     #[test]
     fn measure_observability_mux_multi_initiator_attributes_cuts() {
-        // The monitor composed with the mux backend, two concurrent
-        // initiators: the audit inside `measure_observability` gates on
+        // The monitor on a two-worker pool, two concurrent initiators:
+        // the audit inside `measure_observability` gates on
         // Specification 5 *and* per-ledger attribution before the row
         // can exist.
         let r = measure_observability(
             4,
             RtTransport::InMem,
-            RtBackend::Mux,
             2,
             2,
             Duration::from_millis(5),
@@ -2550,7 +2412,7 @@ mod tests {
             Duration::from_secs(30),
             0x0B5E ^ 4,
         );
-        assert_eq!((r.backend, r.workers, r.initiators), (RtBackend::Mux, 2, 2));
+        assert_eq!((r.workers, r.initiators), (2, 2));
         assert_eq!(r.base_served, 12);
         assert_eq!(r.mon_served, 12, "monitoring must not drop requests");
         assert!(r.cuts >= 1);
@@ -2567,10 +2429,7 @@ mod tests {
             &[sample_forwarding_row(8)],
             &[sample_chaos_row(8, ChaosMix::Partition)],
             &[sample_obs_row(8, 100), sample_obs_mux_row(64, 2)],
-            &[
-                sample_mux_row(64, RtBackend::Threads),
-                sample_mux_row(256, RtBackend::Mux),
-            ],
+            &[sample_mux_row(256), sample_mux_row(1024)],
         );
         assert!(out.contains("baseline"));
         assert!(out.contains("sharded multi-leader"));
@@ -2585,41 +2444,57 @@ mod tests {
         assert!(out.contains("cuts/s"));
         assert!(out.contains("stale ms"));
         assert!(out.contains("inits"));
-        assert!(out.contains("runtime comparison"));
-        assert!(out.contains("threads"));
-        assert!(out.contains("mux"));
+        assert!(out.contains("scale"));
+        assert!(out.contains("2-worker pool"));
         assert!(out.contains("total requests served end-to-end: 120"));
     }
 
+    /// Both pool shapes — one worker serializing every instance, two
+    /// stepping them in parallel — serve the same workload and record
+    /// their pool size.
     #[test]
     fn measure_mux_serves_on_both_backends() {
-        let t = measure_mux(3, RtBackend::Threads, 3, 0.0, 2, Duration::from_secs(30), 1);
-        assert_eq!(t.served, 6);
-        assert_eq!((t.backend, t.workers), (RtBackend::Threads, 3));
-        let m = measure_mux(3, RtBackend::Mux, 2, 0.0, 2, Duration::from_secs(30), 1);
-        assert_eq!(m.served, 6, "the mux backend serves the same workload");
-        assert_eq!((m.backend, m.workers), (RtBackend::Mux, 2));
-        assert!(m.requests_per_sec() > 0.0);
-        assert!(m.p50_latency_ns <= m.p99_latency_ns);
+        for workers in [1, 2] {
+            let m = measure_mux(3, workers, 0.0, 2, Duration::from_secs(30), 1);
+            assert_eq!(m.served, 6);
+            assert_eq!(m.workers, workers);
+            assert!(m.requests_per_sec() > 0.0);
+            assert!(m.p50_latency_ns <= m.p99_latency_ns);
+        }
+    }
+
+    /// The committed trajectory parses under the current schema: a
+    /// schema change that forgets to regenerate `BENCH_RUNTIME.json`
+    /// fails here. The file holds at least 10⁵ served requests.
+    #[test]
+    fn committed_bench_runtime_parses_under_the_current_schema() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RUNTIME.json");
+        let doc = std::fs::read_to_string(path).expect("BENCH_RUNTIME.json is committed");
+        let (baseline, _, _, _, _, observability, mux, total) =
+            from_json(&doc).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(!baseline.is_empty() && !observability.is_empty() && !mux.is_empty());
+        assert!(total >= 100_000, "{total} requests served");
     }
 
     #[test]
     fn measure_chaos_recovers_and_reports_finite_quantiles() {
         // A tiny live chaos row: every burst must land mid-run, the
         // per-epoch verdict must hold (measure_chaos asserts it), and
-        // the recovery distribution must be finite and non-empty.
+        // the recovery distribution must be finite and non-empty. The
+        // workload must outlast the 75 ms schedule: the pool serves
+        // n = 3 at several thousand req/s.
         let r = measure_chaos(
             3,
             RtTransport::InMem,
             ChaosMix::All,
             0.0,
-            30,
+            1_000,
             Duration::from_millis(25),
             Duration::from_millis(15),
             Duration::from_secs(60),
             0xC405,
         );
-        assert_eq!(r.served, 90, "all requests served despite the chaos");
+        assert_eq!(r.served, 3_000, "all requests served despite the chaos");
         assert_eq!(r.bursts, 3, "every planned burst fired mid-run");
         assert_eq!(r.epochs, r.faults + 1);
         assert!(r.recovery_p50_ns > 0);

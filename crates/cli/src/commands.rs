@@ -19,11 +19,11 @@ use snapstab_impossibility::DoubleWinDemo;
 use snapstab_net::{UdpLoopback, Wire};
 use snapstab_runtime::service::{min_mean_max, quantiles, Msg};
 use snapstab_runtime::{
-    project_service_trace, run_service, summary_json_line, Alert, AlertConfig, Backend, ChaosMix,
-    ChaosPlan, ChaosReport, ForwardingServiceConfig, ForwardingServiceReport, InMemory, LinkSample,
-    LinkStats, LiveConfig, LiveStats, MonitorConfig, MonitorReport, MonitoredForwardingReport,
+    project_service_trace, run_service, summary_json_line, Alert, AlertConfig, ChaosMix, ChaosPlan,
+    ChaosReport, ForwardingServiceConfig, ForwardingServiceReport, InMemory, LinkSample, LinkStats,
+    LiveConfig, LiveStats, MonitorConfig, MonitorReport, MonitoredForwardingReport,
     MonitoredMutexReport, Monitoring, MutexServiceConfig, Series, ServiceApp, ServiceReport,
-    ServiceRun, ShardedReport, ShardedServiceConfig, Transport,
+    ServiceRun, ShardedReport, ShardedServiceConfig, Transport, DEFAULT_WORKERS,
 };
 use snapstab_sim::{
     Capacity, CorruptionPlan, LossModel, Message, NetworkBuilder, ProcessId, RandomScheduler,
@@ -41,8 +41,9 @@ USAGE: snapstab <command> [options]
 COMMANDS
   idl            one IDs-Learning computation (Algorithm 2, simulated)
   me             a mutual-exclusion workload (Algorithm 3, simulated)
-  live           a service on the live runtime: one OS thread per
-                 process over a concurrent lossy transport
+  live           a service on the live runtime: the n processes
+                 multiplexed over a small worker-thread pool and a
+                 concurrent lossy transport
                  (--app mutex: the mutual-exclusion service;
                   --app forward: snap-stabilizing message forwarding)
   impossibility  the Theorem 1 construction and replay
@@ -64,13 +65,9 @@ COMMAND OPTIONS
                  (default 60), --check (record + spec-check the trace),
                  --transport {inmem|udp} (default inmem; udp runs the
                  same protocol over real UDP loopback sockets),
-                 --runtime {threads|mux} (default threads: one OS thread
-                 per process; mux multiplexes the n protocol instances
-                 over an event-driven worker pool, scaling to thousands
-                 of instances; composes with every app, --chaos and
-                 --monitor — digests are captured inside the same atomic
-                 per-instance step),
-                 --workers <int> (default 4): mux worker-pool size,
+                 --workers <int> (default 2): worker-pool size; one
+                 worker serializes every instance, two or more step
+                 instances in parallel,
                  --chaos {corrupt|crash|partition|storm|all}: inject a
                  seeded schedule of mid-run transient faults (state
                  corruption, crash storms healed by the supervisor with
@@ -86,7 +83,7 @@ COMMAND OPTIONS
                  --monitor: run a snap-stabilizing snapshot monitor
                  alongside the service on the same transport — periodic
                  global cuts (state digests, queue depths, in-flight
-                 counts, link counters) without pausing workers; prints
+                 counts, link counters) without pausing any process; prints
                  per-cut summaries and a final JSON metrics block;
                  with --check, the cuts are judged by Specification 5
                  (not with --shards/--batch/--queue-depth);
@@ -263,10 +260,6 @@ const TRANSPORTS: [&str; 2] = ["inmem", "udp"];
 /// exit-2 error message (same convention as `--transport`).
 const APPS: [&str; 2] = ["mutex", "forward"];
 
-/// The valid `--runtime` backends of the `live` subcommand, listed in
-/// the exit-2 error message (same convention as `--transport`).
-const RUNTIMES: [&str; 2] = ["threads", "mux"];
-
 /// The workload of a `live` run: `--app`, with `--shards`, `--batch` or
 /// `--queue-depth` selecting the sharded variant of the mutex service
 /// (which keeps its `--queue-depth` for the header).
@@ -334,7 +327,7 @@ struct Live {
     app: App,
     transport: String,
     net: Net,
-    backend: Backend,
+    workers: usize,
     chaos: Option<ChaosMix>,
     monitor: Option<MonitorConfig>,
     metrics_out: Option<MetricsOut>,
@@ -356,22 +349,18 @@ impl Live {
             }
         };
         let n = flag(args, "n", 4)?;
-        let backend = match flag(args, "runtime", "threads".to_string())?.as_str() {
-            "threads" => Backend::Threads,
-            "mux" => match flag(args, "workers", 4)? {
-                0 => {
-                    return Err(usage(
-                        "invalid --workers 0: the mux pool needs at least one worker",
-                    ))
-                }
-                workers => Backend::Mux { workers },
-            },
-            other => {
-                return Err(usage(format!(
-                    "unknown --runtime `{other}`: valid values are {}",
-                    RUNTIMES.join(", ")
-                )))
+        if args.get_raw("runtime").is_some() || args.has("runtime") {
+            return Err(usage(
+                "--runtime was removed: every run is on the worker pool; size it with --workers",
+            ));
+        }
+        let workers = match flag(args, "workers", DEFAULT_WORKERS)? {
+            0 => {
+                return Err(usage(
+                    "invalid --workers 0: the pool needs at least one worker",
+                ))
             }
+            workers => workers,
         };
         let chaos = parse_chaos(args)?;
         let monitor = parse_monitor(args, n)?;
@@ -470,7 +459,7 @@ impl Live {
             app,
             transport,
             net,
-            backend,
+            workers,
             chaos,
             monitor,
             metrics_out,
@@ -495,12 +484,7 @@ impl Live {
 
     /// The report's first line: what runs, on what, for how long.
     fn header(&self) -> String {
-        let runtime = match self.backend {
-            Backend::Threads => format!("n={} worker threads", self.n),
-            Backend::Mux { workers } => {
-                format!("n={} instances on {workers} mux worker(s)", self.n)
-            }
-        };
+        let runtime = format!("n={} instances on {} mux worker(s)", self.n, self.workers);
         let per_process = format!("{} {}(s) per process", self.requests, self.noun());
         let (name, before_loss, after_loss) = match &self.app {
             App::Mutex(_) => ("mutex", String::new(), per_process),
@@ -578,7 +562,7 @@ where
     let mut out = live.header();
     let plan = live.chaos.map(|mix| ChaosPlan::profile(mix, live.seed));
     let run = ServiceRun {
-        backend: live.backend,
+        workers: live.workers,
         transport: live.net.transport(),
         chaos: plan.as_ref(),
     };
@@ -601,9 +585,7 @@ where
         out.push('\n');
     }
     out.push_str(&link_counters_line(&common.stats.links));
-    if let Backend::Mux { .. } = live.backend {
-        out.push_str(&mux_scheduling_line(common.stats, common.completed));
-    }
+    out.push_str(&mux_scheduling_line(common.stats, common.completed));
     out.push_str(&live.net.framing_line());
     out.push_str(&per_link_table(common.links));
     report.detail(&mut out);
@@ -1435,23 +1417,43 @@ mod tests {
         assert!(out.contains("valid values are inmem, udp"), "{out}");
     }
 
+    /// The removed `--runtime` flag fails loudly, with any value, so an
+    /// old script does not silently run something else.
     #[test]
-    fn live_unknown_runtime_exits_2_and_lists_valid_set() {
-        let (out, code) = cmd_live(&parse("live --n 3 --runtime fibers"));
-        assert_eq!(code, 2, "usage errors exit 2:\n{out}");
-        assert!(out.contains("unknown --runtime `fibers`"), "{out}");
-        assert!(out.contains("valid values are threads, mux"), "{out}");
-        assert!(out.contains("USAGE"), "{out}");
-        // The forwarding app applies the same validation.
-        let (out, code) = cmd_live(&parse("live --app forward --n 3 --runtime fibers"));
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("unknown --runtime `fibers`"), "{out}");
+    fn live_runtime_flag_exits_2() {
+        for line in [
+            "live --n 3 --runtime mux",
+            "live --n 3 --runtime threads",
+            "live --app forward --n 3 --runtime mux --workers 2",
+            "live --n 3 --runtime",
+        ] {
+            let (out, code) = cmd_live(&parse(line));
+            assert_eq!(code, 2, "`{line}`:\n{out}");
+            assert!(out.contains("--runtime was removed"), "`{line}`:\n{out}");
+            assert!(out.contains("USAGE"), "`{line}`:\n{out}");
+        }
+    }
+
+    /// `--workers` has one default, the runtime's, and the usage text
+    /// states it.
+    #[test]
+    fn live_workers_default_is_the_runtime_default() {
+        assert!(
+            USAGE.contains(&format!("--workers <int> (default {DEFAULT_WORKERS})")),
+            "{USAGE}"
+        );
+        let (out, code) = cmd_live(&parse("live --n 3 --requests 1 --budget-secs 40"));
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains(&format!("n=3 instances on {DEFAULT_WORKERS} mux worker(s)")),
+            "{out}"
+        );
     }
 
     #[test]
     fn live_mux_runtime_serves_and_checks() {
         let (out, code) = cmd_live(&parse(
-            "live --n 4 --runtime mux --workers 2 --requests 2 --check --budget-secs 40",
+            "live --n 4 --workers 2 --requests 2 --check --budget-secs 40",
         ));
         assert!(out.contains("n=4 instances on 2 mux worker(s)"), "{out}");
         assert!(out.contains("served 8/8"), "{out}");
@@ -1462,7 +1464,7 @@ mod tests {
     #[test]
     fn live_mux_forward_delivers_and_checks_spec4() {
         let (out, code) = cmd_live(&parse(
-            "live --app forward --n 3 --runtime mux --workers 2 --requests 2 \
+            "live --app forward --n 3 --workers 2 --requests 2 \
              --check --budget-secs 40",
         ));
         assert!(out.contains("n=3 instances on 2 mux worker(s)"), "{out}");
@@ -1473,14 +1475,14 @@ mod tests {
 
     #[test]
     fn live_mux_rejects_sharded_and_zero_workers() {
-        // Sharded runs on mux like every other app.
+        // Sharded runs on the pool like every other app.
         let (out, code) = cmd_live(&parse(
-            "live --n 3 --shards 2 --runtime mux --workers 2 --check --budget-secs 40",
+            "live --n 3 --shards 2 --workers 1 --check --budget-secs 40",
         ));
-        assert_eq!(code, 0, "sharded on mux serves and checks:\n{out}");
-        assert!(out.contains("n=3 instances on 2 mux worker(s)"), "{out}");
+        assert_eq!(code, 0, "sharded on the pool serves and checks:\n{out}");
+        assert!(out.contains("n=3 instances on 1 mux worker(s)"), "{out}");
         assert!(out.contains("spec 3 on shard 1"), "{out}");
-        let (out, code) = cmd_live(&parse("live --n 3 --runtime mux --workers 0"));
+        let (out, code) = cmd_live(&parse("live --n 3 --workers 0"));
         assert_eq!(code, 2, "{out}");
         assert!(out.contains("invalid --workers 0"), "{out}");
     }
@@ -1488,7 +1490,7 @@ mod tests {
     #[test]
     fn live_monitored_mux_serves_cuts_and_checks_spec5() {
         let (out, code) = cmd_live(&parse(
-            "live --n 4 --runtime mux --workers 2 --requests 2 --monitor \
+            "live --n 4 --workers 2 --requests 2 --monitor \
              --monitor-interval 5 --check --budget-secs 40",
         ));
         assert!(out.contains("mux worker(s)"), "{out}");
@@ -1502,7 +1504,7 @@ mod tests {
     #[test]
     fn live_multi_initiator_attributes_cuts_per_ledger() {
         let (out, code) = cmd_live(&parse(
-            "live --n 4 --runtime mux --workers 2 --requests 2 --initiators 2 \
+            "live --n 4 --workers 2 --requests 2 --initiators 2 \
              --monitor-interval 5 --check --budget-secs 40",
         ));
         assert!(out.contains("2 initiator(s)"), "{out}");
@@ -1522,7 +1524,7 @@ mod tests {
     #[test]
     fn live_chaos_refusal_streak_alert_fires_and_is_surfaced() {
         let (out, code) = cmd_live(&parse(
-            "live --n 3 --requests 30 --loss 0.3 --jitter 2 --runtime mux \
+            "live --n 3 --requests 30 --loss 0.3 --jitter 2 \
              --workers 2 --monitor-interval 1 --alert-refusal-streak 1 \
              --chaos corrupt --seed 131 --check --budget-secs 60",
         ));
@@ -1691,7 +1693,7 @@ mod tests {
         }
         for flags in [
             "",
-            "--runtime mux --workers 1",
+            "--workers 1",
             "--shards 2",
             "--monitor --monitor-interval 5",
             "--app forward",
@@ -1907,25 +1909,20 @@ mod tests {
     }
 
     /// One composition table for the one `live` report path: every app ×
-    /// runtime × chaos × monitor combination, plus sharded on both
-    /// runtimes, in memory at n = 3. Every row exits 0 and renders one
-    /// link-counter line, one per-link table, a mux scheduling line
-    /// exactly when the runtime is mux, and only verdicts that hold.
+    /// chaos × monitor combination, plus sharded, in memory at n = 3.
+    /// Every row exits 0 and renders one link-counter line, one per-link
+    /// table, one scheduling line, and only verdicts that hold.
     #[test]
     fn live_composition_table_renders_every_row_alike() {
         let mut rows = Vec::new();
         for app in ["mutex", "forward"] {
-            for runtime in ["threads", "mux"] {
-                for chaos in ["", "--chaos all"] {
-                    for monitor in ["", "--monitor --monitor-interval 5"] {
-                        rows.push(format!("--app {app} --runtime {runtime} {chaos} {monitor}"));
-                    }
+            for chaos in ["", "--chaos all"] {
+                for monitor in ["", "--monitor --monitor-interval 5"] {
+                    rows.push(format!("--app {app} {chaos} {monitor}"));
                 }
             }
         }
-        for runtime in ["threads", "mux"] {
-            rows.push(format!("--shards 2 --batch 2 --runtime {runtime}"));
-        }
+        rows.push("--shards 2 --batch 2".to_string());
         for row in rows {
             let (out, code) = cmd_live(&parse(&format!(
                 "live --n 3 --requests 2 --workers 2 --check --budget-secs 40 {row}"
@@ -1934,8 +1931,7 @@ mod tests {
             let count = |needle: &str| out.lines().filter(|l| l.contains(needle)).count();
             assert_eq!(count("link counters:"), 1, "`{row}`:\n{out}");
             assert_eq!(count("per-link counters"), 1, "`{row}`:\n{out}");
-            let mux = usize::from(row.contains("--runtime mux"));
-            assert_eq!(count("mux scheduling:"), mux, "`{row}`:\n{out}");
+            assert_eq!(count("mux scheduling:"), 1, "`{row}`:\n{out}");
             let verdicts: Vec<&str> = out.lines().filter(|l| l.contains("holds:")).collect();
             assert!(!verdicts.is_empty(), "`{row}`:\n{out}");
             assert!(

@@ -25,7 +25,7 @@
 //! [`Protocol`] whose messages and events carry a
 //! shard tag, so a sharded fleet runs unchanged on *both* substrates: the
 //! deterministic simulator (`snapstab_sim::Runner`) and the live runtime
-//! (`snapstab_runtime::LiveRunner`) — which is what keeps sim-vs-live
+//! (`snapstab_runtime::MuxRunner`) — which is what keeps sim-vs-live
 //! conformance testable. [`project_shard_trace`] slices a sharded trace
 //! back into `S` plain mutual-exclusion traces that
 //! [`crate::spec::analyze_me_trace`] judges exactly as before, and

@@ -14,7 +14,7 @@
 //! | FIFO, duplication-free | per-link sequence numbers; a record whose `seq` is not strictly greater than the last one judged is dropped (`lost_reorder`) |
 //! | bounded capacity, silent drop-on-full | a bounded per-lane delivery queue; a record arriving at a full lane is dropped and counted (`lost_full`), the sender learns nothing |
 //! | fair loss (probability < 1) | the network's own loss, plus a seeded injected stream on the send side for reproducible experiments (`lost_in_transit`) |
-//! | eventual delivery | the workers' bounded park/retransmission backoff keeps offering; a fair-lossy link delivers infinitely often |
+//! | eventual delivery | the runtime's periodic sweep keeps re-activating every process, so retransmissions keep coming; a fair-lossy link delivers infinitely often |
 //!
 //! # I/O model: stage, then pump
 //!
@@ -39,7 +39,6 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use snapstab_runtime::{LaneOf, Link, LinkStats, LiveConfig};
@@ -281,8 +280,8 @@ impl<M: Wire> Hub<M> {
 /// against a concurrent `accept`; a stale "empty" is then a poll ordered
 /// just before that push, and the receiver is not stranded because every
 /// accepted record is followed, outside the lock, by the registered
-/// wake-ups (`unpark` → `park`, or the mux ready queue's mutex), which
-/// order the push before the receiver's next poll.
+/// waker (the runtime's ready-queue push, whose mutex orders the push
+/// before the receiver's next poll).
 struct Inbox<M> {
     /// Capacity **per lane**, as in the in-memory link.
     capacity: usize,
@@ -308,9 +307,7 @@ struct RecvState<M> {
     last_seq: u64,
     /// Per-link jitter stream (receive side).
     rng: SimRng,
-    /// The receiving worker's thread, unparked on every accepted record.
-    receiver: Option<Thread>,
-    /// Run after every accepted record (the mux backend's ready queue).
+    /// Run after every accepted record (the runtime's ready-queue push).
     waker: Option<Arc<dyn Fn() + Send + Sync>>,
     enqueued: u64,
     lost_full: u64,
@@ -332,7 +329,6 @@ impl<M> Inbox<M> {
                 lane_len: vec![0; lanes],
                 last_seq: 0,
                 rng: SimRng::seed_from(seed ^ RECV_STREAM),
-                receiver: None,
                 waker: None,
                 enqueued: 0,
                 lost_full: 0,
@@ -346,7 +342,7 @@ impl<M> Inbox<M> {
     /// wakes the receiver — outside the lock.
     fn accept(&self, header: Header, msg: M) {
         let lane = (header.lane as usize).min(self.lanes - 1);
-        let (receiver, waker);
+        let waker;
         {
             let mut st = self.state.lock().expect("recv state poisoned");
             if header.seq <= st.last_seq {
@@ -371,11 +367,7 @@ impl<M> Inbox<M> {
             self.occupancy.store(st.queue.len(), Ordering::Release);
             st.lane_len[lane] += 1;
             st.enqueued += 1;
-            receiver = st.receiver.clone();
             waker = st.waker.clone();
-        }
-        if let Some(thread) = receiver {
-            thread.unpark();
         }
         if let Some(wake) = waker {
             wake();
@@ -383,7 +375,7 @@ impl<M> Inbox<M> {
     }
 }
 
-/// The backends share one per-link seed formula, split here into
+/// The transports share one per-link seed formula, split here into
 /// independent send (loss) and receive (jitter) streams.
 const SEND_STREAM: u64 = 0x5E4D_0000_0000_0001;
 const RECV_STREAM: u64 = 0x4ECF_0000_0000_0002;
@@ -490,14 +482,6 @@ impl<M: Wire + Send> Link<M> for UdpLink<M> {
 
     fn to(&self) -> ProcessId {
         self.to
-    }
-
-    fn register_receiver(&self, receiver: Thread) {
-        self.inbox()
-            .state
-            .lock()
-            .expect("recv state poisoned")
-            .receiver = Some(receiver);
     }
 
     fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
@@ -780,9 +764,10 @@ mod tests {
         assert_eq!(staged.len(), HEADER_LEN + 4);
     }
 
-    /// The waker and the receiver thread fire after every accepted record
-    /// and after nothing else: not for a record dropped on a full lane,
-    /// dropped to keep FIFO, or arriving from a foreign socket.
+    /// The waker fires after every accepted record and after nothing
+    /// else: not for a record dropped on a full lane, dropped to keep
+    /// FIFO, or arriving from a foreign socket. `register_receiver` is
+    /// that waker with an unpark.
     #[test]
     fn wake_ups_follow_accepted_records_only() {
         let Some(hub) = hub(1) else { return };
@@ -793,25 +778,9 @@ mod tests {
         link.register_waker(Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
         }));
-        // The receiver parks, reports each return from `park`, and parks
-        // again; `park` only returns for an `unpark`.
-        let (parked_tx, parked_rx) = mpsc::channel();
-        let receiver = std::thread::spawn(move || loop {
-            std::thread::park();
-            if parked_tx.send(()).is_err() {
-                return;
-            }
-        });
-        link.register_receiver(receiver.thread().clone());
-        let unparked = || {
-            parked_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("an accepted record unparks the receiver")
-        };
 
         hub.deliver_frame(&record(0, 1, 1, 10)); // accepted
         assert_eq!(woken.load(Ordering::SeqCst), 1);
-        unparked();
 
         hub.deliver_frame(&record(0, 1, 2, 20)); // the lane is full
         hub.deliver_frame(&record(0, 1, 2, 20)); // duplicate
@@ -831,10 +800,26 @@ mod tests {
         assert_eq!(link.try_recv(), Some(10));
         hub.deliver_frame(&record(0, 1, 3, 30)); // accepted
         assert_eq!(woken.load(Ordering::SeqCst), 2);
-        unparked();
-        assert!(
-            parked_rx.try_recv().is_err(),
-            "two accepted records, two returns from park"
+        assert_eq!(link.try_recv(), Some(30));
+
+        // The receiver parks, reports each return from `park`, and parks
+        // again; `park` only returns for an `unpark`.
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let receiver = std::thread::spawn(move || loop {
+            std::thread::park();
+            if parked_tx.send(()).is_err() {
+                return;
+            }
+        });
+        (&link as &dyn Link<u32>).register_receiver(receiver.thread().clone());
+        hub.deliver_frame(&record(0, 1, 4, 40)); // accepted
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("an accepted record unparks the receiver");
+        assert_eq!(
+            woken.load(Ordering::SeqCst),
+            2,
+            "the receiver replaced the waker"
         );
 
         // Let the receiver thread go: its next report finds no channel.

@@ -43,7 +43,7 @@ struct Connected {
 /// use std::time::Duration;
 ///
 /// # if !snapstab_net::udp_available() { return; } // skip in socketless sandboxes
-/// // Three workers exchanging Algorithm 3 messages through a real socket.
+/// // Three processes exchanging Algorithm 3 messages through a real socket.
 /// let transport = UdpLoopback::new();
 /// let cfg = MutexServiceConfig {
 ///     n: 3,

@@ -7,24 +7,21 @@
 //!
 //! * [`ChaosPlan`] — a seeded schedule of fault bursts with quiet
 //!   periods, grouped into named mixes ([`ChaosMix`]).
-//! * [`ChaosEngine`] — injects the bursts into a live backend (any
-//!   [`RuntimeBackend`]: the thread-per-process [`crate::LiveRunner`] or
-//!   the multiplexed [`crate::MuxRunner`]): worker **state corruption**
-//!   (the [`Protocol::corrupt`] hook run atomically against a paused
-//!   instance, marked `chaos:corrupt`), **crash storms**
-//!   ([`RuntimeBackend::crash`] — a dead thread on one backend, a parked
-//!   instance on the other, healed by the supervisor either way),
+//! * [`ChaosEngine`] — injects the bursts into a live [`MuxRunner`]:
+//!   instance **state corruption** (the [`Protocol::corrupt`] hook run
+//!   atomically under the instance lock, marked `chaos:corrupt`),
+//!   **crash storms** ([`MuxRunner::crash`] parks instances, which the
+//!   supervisor heals),
 //!   **link partitions** with heal cycles and **drop storms**, both
 //!   pushed through [`FaultPlane`] wrappers around the [`Transport`]
 //!   abstraction so in-memory lanes and UDP sockets degrade identically.
-//! * [`Supervisor`] — the watchdog: detects crashed workers and *wedged*
-//!   ones (no effective activations within a deadline, read from the
-//!   per-instance [`RuntimeBackend::activity`] counter), restarts them
-//!   with **adversarially corrupted** state (marked
+//! * [`Supervisor`] — the watchdog: detects crashed instances and
+//!   *wedged* ones (no effective activations within a deadline, read
+//!   from the per-instance [`MuxRunner::activity`] counter), restarts
+//!   them with **adversarially corrupted** state (marked
 //!   `chaos:restart-corrupt` — a restart is a transient fault, and a
 //!   snap-stabilizing protocol must not care), under bounded exponential
-//!   backoff reusing the
-//!   [`LiveConfig::min_backoff`]/[`LiveConfig::max_backoff`] knobs.
+//!   backoff from 50 µs up to [`LiveConfig::max_backoff`].
 //! * [`ChaosHarness`] — engine + supervisor + recovery-time bookkeeping,
 //!   driven from a service poll loop; [`ChaosHarness::finish`] yields the
 //!   [`ChaosReport`] whose `fault_steps` are the *authoritative* fault
@@ -38,13 +35,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use snapstab_sim::{ProcessId, Protocol, SendFate, SimRng};
 
 use crate::link::{LaneOf, LinkStats};
-use crate::runner::{LiveConfig, RuntimeBackend};
+use crate::mux::MuxRunner;
+use crate::runner::LiveConfig;
 use crate::transport::{link_seed, Link, LinkMatrix, Transport};
 
 /// Salt mixed into the runtime seed for the per-link chaos-drop RNG
@@ -54,13 +51,18 @@ const CHAOS_LINK_SALT: u64 = 0x5EED_0C4A_0D15_EA5E;
 /// Salt for the supervisor's adversarial-restart RNG stream.
 const SUPERVISOR_SALT: u64 = 0xBAD5_EED5_0F0F_5157;
 
+/// The supervisor's first restart backoff: how soon a crashed instance
+/// is first healed. It doubles per restart up to
+/// [`LiveConfig::max_backoff`].
+const MIN_RESTART_BACKOFF: Duration = Duration::from_micros(50);
+
 /// Basis points per unit probability (the drop knob's fixed-point scale).
 const BP_SCALE: u64 = 10_000;
 
 /// A named fault mix: which burst kinds a [`ChaosPlan`] rotates through.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChaosMix {
-    /// Mid-run worker state corruption only.
+    /// Mid-run instance state corruption only.
     Corrupt,
     /// Crash storms only (healed by the supervisor's corrupted restarts).
     Crash,
@@ -120,9 +122,9 @@ impl ChaosMix {
 /// One kind of fault burst.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BurstKind {
-    /// Corrupt the variables of a random subset of workers.
+    /// Corrupt the variables of a random subset of instances.
     Corrupt,
-    /// Crash a random subset of workers.
+    /// Crash a random subset of instances.
     Crash,
     /// Cut the links across a random bipartition for the disruption
     /// window, then heal.
@@ -295,10 +297,6 @@ impl<M: Send + 'static> Link<M> for FaultLink<M> {
         self.inner.to()
     }
 
-    fn register_receiver(&self, receiver: Thread) {
-        self.inner.register_receiver(receiver);
-    }
-
     fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
         self.inner.register_waker(waker);
     }
@@ -390,14 +388,13 @@ impl<M: Send + 'static> Transport<M> for ChaosTransport<'_, M> {
     }
 }
 
-/// Why the supervisor intervened on a worker.
+/// Why the supervisor intervened on an instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InterventionKind {
-    /// The worker's thread was dead (crashed by the chaos engine or the
-    /// harness).
+    /// The instance was crashed (by the chaos engine or the harness).
     RestartCrashed,
-    /// The worker was alive but wedged: no effective activations within
-    /// the watchdog deadline. It was crashed and respawned.
+    /// The instance was alive but wedged: no effective activations
+    /// within the watchdog deadline. It was crashed and restarted.
     RestartWedged,
 }
 
@@ -406,7 +403,7 @@ pub enum InterventionKind {
 /// the trace).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Intervention {
-    /// The healed worker.
+    /// The healed instance.
     pub p: ProcessId,
     /// What the watchdog saw.
     pub kind: InterventionKind,
@@ -418,11 +415,11 @@ pub struct Intervention {
 /// Configuration of the [`Supervisor`] watchdog.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// A live worker with no effective activations for this long is
+    /// A live instance with no effective activations for this long is
     /// declared wedged and recycled.
     pub wedge_deadline: Duration,
-    /// Initial restart backoff (bounds how fast a crash-looping worker
-    /// is respawned). Reused from [`LiveConfig::min_backoff`].
+    /// Initial restart backoff (bounds how fast a crash-looping instance
+    /// is restarted).
     pub min_backoff: Duration,
     /// Restart backoff ceiling. Reused from [`LiveConfig::max_backoff`].
     pub max_backoff: Duration,
@@ -436,12 +433,12 @@ pub struct SupervisorConfig {
 
 impl SupervisorConfig {
     /// Derives the watchdog configuration from a run's [`LiveConfig`]:
-    /// backoff knobs reused as restart backoff, a 1 s wedge deadline,
-    /// corrupted restarts on.
+    /// restart backoff from 50 µs up to its sweep period, a 1 s wedge
+    /// deadline, corrupted restarts on.
     pub fn from_live(live: &LiveConfig) -> Self {
         SupervisorConfig {
             wedge_deadline: Duration::from_secs(1),
-            min_backoff: live.min_backoff,
+            min_backoff: MIN_RESTART_BACKOFF,
             max_backoff: live.max_backoff,
             corrupt_restarts: true,
             seed: live.seed ^ SUPERVISOR_SALT,
@@ -449,7 +446,7 @@ impl SupervisorConfig {
     }
 }
 
-/// Per-worker watchdog state.
+/// Per-instance watchdog state.
 struct WorkerWatch {
     last_activity: u64,
     last_progress: Instant,
@@ -457,7 +454,7 @@ struct WorkerWatch {
     next_restart: Instant,
 }
 
-/// The self-healing watchdog: polls every worker for crashes and wedges
+/// The self-healing watchdog: polls every instance for crashes and wedges
 /// and restarts offenders with adversarially corrupted state under
 /// bounded exponential backoff. Drive it from a poll loop via
 /// [`Supervisor::tick`]; it owns no thread — the loop's cadence is the
@@ -471,7 +468,7 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A watchdog for `n` workers.
+    /// A watchdog for `n` instances.
     pub fn new(n: usize, cfg: SupervisorConfig) -> Self {
         let now = Instant::now();
         let min = cfg.min_backoff;
@@ -502,20 +499,13 @@ impl Supervisor {
         &self.fault_steps
     }
 
-    /// One watchdog pass: restarts crashed workers whose backoff has
+    /// One watchdog pass: restarts crashed instances whose backoff has
     /// elapsed and recycles wedged ones. Returns the number of
     /// interventions made.
     ///
-    /// Generic over the execution backend: on the thread-per-process
-    /// runner "crashed" means a dead OS thread, on the mux pool it means
-    /// a parked instance — either way the wedge detector reads the same
-    /// per-instance activity counter.
-    pub fn tick<P, B>(&mut self, runner: &mut B) -> usize
+    pub fn tick<P>(&mut self, runner: &mut MuxRunner<P>) -> usize
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         let now = Instant::now();
         let mut healed = 0;
@@ -544,23 +534,20 @@ impl Supervisor {
         healed
     }
 
-    /// Heals one crashed worker immediately (ignoring backoff) — used by
+    /// Heals one crashed instance immediately (ignoring backoff) — used by
     /// [`ChaosHarness::finish`] to leave the system fully healed.
-    pub fn force_heal<P, B>(&mut self, runner: &mut B, p: ProcessId)
+    pub fn force_heal<P>(&mut self, runner: &mut MuxRunner<P>, p: ProcessId)
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         if runner.is_crashed(p) {
             self.heal(runner, p, InterventionKind::RestartCrashed, Instant::now());
         }
     }
 
-    /// Flags one worker as suspected-wedged from an *external* signal:
+    /// Flags one instance as suspected-wedged from an *external* signal:
     /// backdates its progress deadline so the next [`Supervisor::tick`]
-    /// recycles it — unless the worker shows fresh activity first, which
+    /// recycles it — unless the instance shows fresh activity first, which
     /// clears the suspicion through the ordinary activity check. The
     /// telemetry pipeline feeds stalled-served alerts
     /// (`snapstab_runtime::telemetry::AlertKind::StalledServed`) through
@@ -571,7 +558,7 @@ impl Supervisor {
         }
     }
 
-    /// [`Supervisor::suspect`] applied to every watched worker — for
+    /// [`Supervisor::suspect`] applied to every watched instance — for
     /// alert sources (like a stalled global served counter) that cannot
     /// name the culprit.
     pub fn suspect_all(&mut self) {
@@ -580,17 +567,19 @@ impl Supervisor {
         }
     }
 
-    fn heal<P, B>(&mut self, runner: &mut B, p: ProcessId, kind: InterventionKind, now: Instant)
-    where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+    fn heal<P>(
+        &mut self,
+        runner: &mut MuxRunner<P>,
+        p: ProcessId,
+        kind: InterventionKind,
+        now: Instant,
+    ) where
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         let step = if self.cfg.corrupt_restarts {
-            // The worker is crashed, so this runs directly on the parked
-            // state: corrupt it *before* the new thread sees it, and
-            // vouch for the fault mark.
+            // The instance is crashed, so no instance steps it: corrupt it
+            // *before* the restart makes it ready, and vouch for the
+            // fault mark.
             let mut rng = SimRng::seed_from(self.rng.gen_u64());
             let step = runner.with_process_ctx(p, move |proc, scribe| {
                 let step = scribe.mark("chaos:restart-corrupt");
@@ -670,7 +659,7 @@ pub struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// An engine for `n` workers over the given fault plane.
+    /// An engine for `n` instances over the given fault plane.
     pub fn new(plan: ChaosPlan, plane: FaultPlane, n: usize) -> Self {
         assert_eq!(plane.n(), n, "plane sized for a different topology");
         ChaosEngine {
@@ -712,12 +701,9 @@ impl ChaosEngine {
     /// One scheduler pass: heals expired disruptions and fires the next
     /// burst when its quiet period has elapsed. Returns `true` if a
     /// burst fired.
-    pub fn tick<P, B>(&mut self, runner: &mut B) -> bool
+    pub fn tick<P>(&mut self, runner: &mut MuxRunner<P>) -> bool
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         let now = Instant::now();
         if self.heal_at.is_some_and(|t| now >= t) {
@@ -750,12 +736,9 @@ impl ChaosEngine {
         ids.into_iter().map(ProcessId::new).collect()
     }
 
-    fn fire<P, B>(&mut self, runner: &mut B, now: Instant)
+    fn fire<P>(&mut self, runner: &mut MuxRunner<P>, now: Instant)
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         let kinds = self.plan.mix.kinds();
         let kind = kinds[self.kind_cursor % kinds.len()];
@@ -766,9 +749,9 @@ impl ChaosEngine {
                 let k = 1 + self.rng.gen_range(0..self.n);
                 for p in self.pick(k) {
                     let mut rng = SimRng::seed_from(self.rng.gen_u64());
-                    // Atomic w.r.t. the worker's protocol actions: the
+                    // Atomic w.r.t. the instance's protocol actions: the
                     // live rendering of a transient fault. Crashed
-                    // workers are corrupted in their parked state.
+                    // instances are corrupted in their parked state.
                     let step = runner.with_process_ctx(p, move |proc, scribe| {
                         let step = scribe.mark("chaos:corrupt");
                         proc.corrupt(&mut rng);
@@ -819,7 +802,7 @@ impl ChaosEngine {
 /// ```ignore
 /// let chaos_t = ChaosTransport::new(&InMemory, n);
 /// let plane = chaos_t.plane();
-/// let mut runner = LiveRunner::spawn_with_transport(procs, drivers, cfg, &chaos_t, None)?;
+/// let mut runner = MuxRunner::spawn_with_transport(procs, drivers, cfg, workers, &chaos_t, None)?;
 /// let mut harness = ChaosHarness::new(&plan, plane, n, &cfg);
 /// while !(done && harness.done(&runner)) {
 ///     std::thread::sleep(Duration::from_millis(2));
@@ -836,7 +819,7 @@ pub struct ChaosHarness {
 }
 
 impl ChaosHarness {
-    /// A harness for `n` workers: engine from `plan`, supervisor derived
+    /// A harness for `n` instances: engine from `plan`, supervisor derived
     /// from the run's [`LiveConfig`] (1 s wedge deadline, corrupted
     /// restarts, backoff from the config's knobs).
     pub fn new(plan: &ChaosPlan, plane: FaultPlane, n: usize, live: &LiveConfig) -> Self {
@@ -851,12 +834,9 @@ impl ChaosHarness {
     /// One pass: resolve recovery samples against the service's
     /// completion counter (`completed` = grants or deliveries so far),
     /// run the engine's schedule, run the watchdog.
-    pub fn tick<P, B>(&mut self, runner: &mut B, completed: u64)
+    pub fn tick<P>(&mut self, runner: &mut MuxRunner<P>, completed: u64)
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         let now = Instant::now();
         let mut i = 0;
@@ -875,8 +855,8 @@ impl ChaosHarness {
         self.supervisor.tick(runner);
     }
 
-    /// Marks every worker suspected-wedged (see [`Supervisor::suspect`]):
-    /// the next [`ChaosHarness::tick`] recycles any worker that shows no
+    /// Marks every instance suspected-wedged (see [`Supervisor::suspect`]):
+    /// the next [`ChaosHarness::tick`] recycles any instance that shows no
     /// fresh activity by then. The monitored services call this when the
     /// telemetry plane raises a stalled-served alert.
     pub fn suspect_all(&mut self) {
@@ -884,28 +864,22 @@ impl ChaosHarness {
     }
 
     /// True once the schedule is exhausted, every disruption healed and
-    /// every worker alive — the poll loop should run until this *and*
+    /// every instance alive — the poll loop should run until this *and*
     /// its own completion condition hold, so every planned fault really
     /// lands mid-run.
-    pub fn done<P, B>(&self, runner: &B) -> bool
+    pub fn done<P>(&self, runner: &MuxRunner<P>) -> bool
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         self.engine.done() && (0..self.engine.n).all(|i| !runner.is_crashed(ProcessId::new(i)))
     }
 
-    /// Heals everything (plane and crashed workers) and assembles the
+    /// Heals everything (plane and crashed instances) and assembles the
     /// [`ChaosReport`]. Call right after the poll loop, before the
-    /// backend's `stop`.
-    pub fn finish<P, B>(mut self, runner: &mut B) -> ChaosReport
+    /// runner's `stop`.
+    pub fn finish<P>(mut self, runner: &mut MuxRunner<P>) -> ChaosReport
     where
-        P: Protocol + Send + 'static,
-        P::Msg: Send,
-        P::Event: Send,
-        B: RuntimeBackend<P>,
+        P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
         self.engine.heal_now();
         for i in 0..self.engine.n {
@@ -932,7 +906,6 @@ impl ChaosHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::LiveRunner;
     use crate::transport::InMemory;
     use snapstab_core::idl::IdlProcess;
 
@@ -1012,7 +985,7 @@ mod tests {
     #[test]
     fn supervisor_heals_crashed_worker_with_corrupted_state() {
         let cfg = LiveConfig::default();
-        let mut runner = LiveRunner::spawn(idl_fleet(3), cfg.clone());
+        let mut runner = MuxRunner::spawn(idl_fleet(3), cfg.clone(), 2);
         let mut sup = Supervisor::new(3, SupervisorConfig::from_live(&cfg));
         runner.crash(p(1));
         assert!(runner.is_crashed(p(1)));
@@ -1043,7 +1016,7 @@ mod tests {
         // An idle IDL fleet makes no effective progress: with a tiny
         // wedge deadline the watchdog must recycle every worker.
         let cfg = LiveConfig::default();
-        let mut runner = LiveRunner::spawn(idl_fleet(2), cfg.clone());
+        let mut runner = MuxRunner::spawn(idl_fleet(2), cfg.clone(), 2);
         let mut sup = Supervisor::new(
             2,
             SupervisorConfig {
@@ -1100,10 +1073,11 @@ mod tests {
         };
         let chaos = ChaosTransport::new(&InMemory, 3);
         let plane = chaos.plane();
-        let mut runner = LiveRunner::spawn_with_transport(
+        let mut runner = MuxRunner::spawn_with_transport(
             idl_fleet(3),
             vec![None, None, None],
             cfg.clone(),
+            2,
             &chaos,
             None,
         )

@@ -4,9 +4,9 @@
 //! deterministic simulator (`snapstab-sim`). This crate is the *live*
 //! execution substrate: the same [`Protocol`](snapstab_sim::Protocol)
 //! implementations — `PifProcess`, `IdlProcess`, `MeProcess`, the apps
-//! layer — run **unchanged** with one worker thread per process, joined
-//! by a concurrent transport ([`LiveLink`]) that preserves the paper's
-//! channel semantics:
+//! layer — run **unchanged** as instances of a [`MuxRunner`], stepped by
+//! a small pool of worker threads and joined by a concurrent transport
+//! ([`LiveLink`]) that preserves the paper's channel semantics:
 //!
 //! * **bounded capacity, silent drop-on-full** (§4): a send into a full
 //!   link vanishes without notifying the sender;
@@ -20,8 +20,8 @@
 //! Workers reuse the simulator's [`Context`](snapstab_sim::Context) for
 //! every atomic action, so protocol code cannot tell which substrate it
 //! runs on. Each atomic action draws a ticket from a global atomic step
-//! counter and logs its events into a per-worker
-//! [`Trace`](snapstab_sim::Trace); [`LiveRunner::stop`] merges the logs
+//! counter and logs its events into a per-instance
+//! [`Trace`](snapstab_sim::Trace); [`MuxRunner::stop`] merges the logs
 //! into one
 //! step-ordered trace — a total order consistent with program order and
 //! real-time causality — on which the executable specifications of
@@ -33,17 +33,18 @@
 //! ```
 //! use snapstab_core::idl::IdlProcess;
 //! use snapstab_core::request::RequestState;
-//! use snapstab_runtime::{LiveConfig, LiveRunner, RuntimeBackend};
+//! use snapstab_runtime::{LiveConfig, MuxRunner};
 //! use snapstab_sim::ProcessId;
 //! use std::time::Duration;
 //!
-//! // Three IDs-Learning processes on three OS threads, 10% message loss.
+//! // Three IDs-Learning processes on two pool workers, 10% message loss.
 //! let processes: Vec<IdlProcess> = (0..3)
 //!     .map(|i| IdlProcess::new(ProcessId::new(i), 3, 10 + i as u64))
 //!     .collect();
-//! let mut runner = LiveRunner::spawn(
+//! let mut runner = MuxRunner::spawn(
 //!     processes,
 //!     LiveConfig { loss: 0.1, seed: 42, ..LiveConfig::default() },
+//!     2,
 //! );
 //! runner.with_process(ProcessId::new(0), |p: &mut IdlProcess| p.request_learning());
 //! assert!(runner.wait_until(
@@ -59,10 +60,11 @@
 //!
 //! Every live service is an *app* run by one driver, [`run_service`]:
 //! the app says what runs (the protocol, one closed-loop client per
-//! process, the report), a [`ServiceRun`] says how — the [`Backend`],
-//! the [`Transport`], an optional [`ChaosPlan`]. The axes are values,
-//! not function names, so every combination composes — the sharded
-//! service on the mux pool, say ([`Backend`] shows it).
+//! process, the report), a [`ServiceRun`] says how — the pool size, the
+//! [`Transport`], an optional [`ChaosPlan`]. The axes are values, not
+//! function names, so every combination composes — the monitored
+//! forwarding service under chaos over UDP, say ([`ServiceRun`] shows
+//! the sharded service).
 //!
 //! Three apps ship with the crate. [`MutexServiceConfig`] puts
 //! Algorithm 3 behind a client request queue: every process's client
@@ -87,39 +89,39 @@
 //!
 //! The runner is generic over its message substrate: the [`Transport`]
 //! trait builds the directed [`Link`] matrix, and everything above it —
-//! workers, services, trace merging, the spec checkers — is
-//! backend-agnostic. [`InMemory`] (the default) wires [`LiveLink`]s;
+//! the pool, services, trace merging, the spec checkers — is
+//! transport-agnostic. [`InMemory`] (the default) wires [`LiveLink`]s;
 //! `snapstab-net`'s `UdpLoopback` wires links that share one real UDP
 //! socket, with the same §4 semantics enforced per record in the receive
 //! path. A transport owns no thread: a `send` that cannot deliver on the
-//! spot stages its message, and the workers of either backend call
-//! [`Link::pump`] once per scheduling quantum to move what is staged and
-//! deliver what has arrived (a no-op in memory). Pass a transport as
-//! [`ServiceRun::transport`] or to [`LiveRunner::spawn_with_transport`].
+//! spot stages its message, and the pool workers call [`Link::pump`]
+//! once per scheduling quantum to move what is staged and deliver what
+//! has arrived (a no-op in memory). Pass a transport as
+//! [`ServiceRun::transport`] or to [`MuxRunner::spawn_with_transport`].
 //!
-//! ## Two backends, one seam
+//! ## One runtime: instances on a pool
 //!
-//! Thread-per-process is faithful to the paper's model but tops out
-//! around 64 processes on commodity hardware: past that, the OS spends
-//! its time context-switching. The [`mux`] module adds an event-driven
-//! backend — [`MuxRunner`] multiplexes N protocol *instances* over a
-//! small worker pool, scheduling them through a ready queue keyed by
-//! link traffic — that runs the same protocols, transports, and trace
-//! stamping unchanged at n = 1024 and beyond. Everything above the
-//! runner (the service driver, chaos, the spec checkers) is written
-//! against the [`RuntimeBackend`] trait, so the backends are
-//! interchangeable: a service picks one with [`Backend::Threads`] or
-//! [`Backend::Mux`], and the cross-backend conformance suite
+//! The paper's correctness arguments need every action to be atomic and
+//! every process to be activated infinitely often — not one OS thread
+//! per process. [`MuxRunner`] (the [`mux`] module) multiplexes N protocol
+//! *instances* over a small worker pool, scheduling them through a ready
+//! queue keyed by link traffic: the per-instance lock is the
+//! atomic-action boundary, and a periodic sweep is the fairness timer.
+//! It runs from n = 2 to n = 1024 and beyond. With one worker every
+//! interleaving is serialized; with [`DEFAULT_WORKERS`] (two) instances
+//! really run in parallel, and the conformance suite
 //! (`tests/mux_runtime.rs`) drives the same seeded workloads through
-//! both and holds their merged traces to the same specifications.
+//! both pool shapes and holds their merged traces to the same
+//! specifications.
 //!
 //! ## Crash and restart
 //!
-//! [`LiveRunner::crash`] joins a worker's thread mid-run (its state and
-//! log survive); [`LiveRunner::restart`] respawns it on a fresh thread.
-//! Because the protocols are snap-stabilizing, computations started after
-//! the restart satisfy their specifications immediately — the stress
-//! tests in `tests/live_runtime.rs` exercise exactly that.
+//! [`MuxRunner::crash`] parks an instance mid-run, on an action boundary
+//! (its state and log survive, its links backlog); [`MuxRunner::restart`]
+//! makes it ready again. Because the protocols are snap-stabilizing,
+//! computations started after the restart satisfy their specifications
+//! immediately — the stress tests in `tests/live_runtime.rs` exercise
+//! exactly that.
 //!
 //! ## Chaos and supervision
 //!
@@ -129,14 +131,13 @@
 //! crash storms, link partitions and drop storms (the latter two through
 //! [`ChaosTransport`], a [`Transport`] decorator degrading in-memory and
 //! UDP links identically) — while a [`Supervisor`] watchdog detects
-//! crashed or wedged workers and restarts them with *adversarially
+//! crashed or wedged instances and restarts them with *adversarially
 //! corrupted* state under bounded exponential backoff. The resulting
 //! [`ChaosReport`] carries the authoritative fault steps at which
 //! `snapstab_core::spec::analyze_me_epochs` /
 //! `analyze_forwarding_epochs` segment the merged trace, requiring the
 //! paper's specifications to hold per epoch. Setting
-//! [`ServiceRun::chaos`] packages the whole loop for any app on either
-//! backend.
+//! [`ServiceRun::chaos`] packages the whole loop for any app.
 //!
 //! ## Observability — monitoring cuts
 //!
@@ -148,10 +149,10 @@
 //! schedule, waves overlapping freely — that collects a consistent
 //! global cut of [`ProbeDigest`] values — per-process protocol-state
 //! digests, queue depths, in-flight counts — plus per-link counter
-//! samples ([`LinkSample`]), without pausing any worker.
+//! samples ([`LinkSample`]), without pausing any instance.
 //! [`Monitoring`] is the app combinator: `Monitoring::new(&cfg, &mon)`
-//! runs the mutex or forwarding app monitored, on either backend,
-//! under chaos or not, so one cut spans hundreds of mux instances.
+//! runs the mutex or forwarding app monitored, under chaos or not, so
+//! one cut spans hundreds of instances.
 //! Every cut in the merged trace is judged by executable Specification
 //! 5 (`snapstab_core::spec::analyze_snapshot_trace`), which attributes
 //! each decided cut to the ledger that requested it.
@@ -190,16 +191,14 @@ pub use monitor::{
     MonitorReport, Monitored, MonitoredEvent, MonitoredForwardingReport, MonitoredMsg,
     MonitoredMutexReport, MonitoredState, Monitoring,
 };
-pub use mux::MuxRunner;
+pub use mux::{MuxRunner, DEFAULT_WORKERS};
 pub use runner::{
-    Driver, LinkSample, LiveConfig, LiveReport, LiveRunner, LiveStats, RuntimeBackend, Scribe,
-    TraceDetail, WorkerStats,
+    Driver, LinkSample, LiveConfig, LiveReport, LiveStats, Scribe, TraceDetail, WorkerStats,
 };
 pub use service::{
     run_forwarding_service_mux_on, run_mutex_service_chaos_mux_on, run_mutex_service_mux_on,
-    run_service, Backend, Client, Finished, ForwardingServiceConfig, ForwardingServiceReport,
-    Gauged, Marks, MutexServiceConfig, ServiceApp, ServiceReport, ServiceRun, ShardedReport,
-    ShardedServiceConfig,
+    run_service, Client, Finished, ForwardingServiceConfig, ForwardingServiceReport, Gauged, Marks,
+    MutexServiceConfig, ServiceApp, ServiceReport, ServiceRun, ShardedReport, ShardedServiceConfig,
 };
 pub use telemetry::{
     alert_marks, summary_json_line, Alert, AlertConfig, AlertKind, AlertMonitor, Series,

@@ -9,17 +9,16 @@
 //! an optional uniform delivery-delay jitter that widens the set of real
 //! interleavings a run explores.
 //!
-//! The queue lives behind a [`Mutex`]; the receiving worker parks when it
-//! has nothing to do and the link unparks it on every successful enqueue,
-//! so delivery latency is bounded by a thread wake-up, not a poll
-//! interval. An atomic mirror of the queue length lets the two outcomes
-//! that change nothing — polling an empty link, offering to a full one —
-//! skip the mutex (see [`LiveLink`]).
+//! The queue lives behind a [`Mutex`]. The link wakes nobody: the runtime
+//! follows every `Enqueued` send with a push of the receiver onto its
+//! ready queue, so delivery latency is bounded by that push, not by a
+//! poll interval. An atomic mirror of the queue length lets the two
+//! outcomes that change nothing — polling an empty link, offering to a
+//! full one — skip the mutex (see [`LiveLink`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use snapstab_sim::{ProcessId, SendFate, SimRng};
@@ -70,9 +69,6 @@ struct LinkInner<M> {
     /// reproducible regardless of thread timing.
     rng: SimRng,
     stats: LinkStats,
-    /// The receiving worker's thread, unparked on enqueue. Re-registered
-    /// on worker restart.
-    receiver: Option<Thread>,
 }
 
 /// A concurrent directed FIFO channel `from → to` with bounded capacity,
@@ -120,10 +116,9 @@ struct LinkInner<M> {
 /// * A stale "empty" is a poll ordered immediately **before** the
 ///   concurrent push. The poller is not stranded, because every sender
 ///   follows an `Enqueued` send with a wake-up of the receiver that
-///   synchronises with it: this link unparks the registered receiver
-///   thread (`unpark` → `park` synchronise), and the mux backend pushes
-///   the receiver onto its ready queue (`MuxShared::enqueue`). The poll
-///   that follows the wake-up sees the message.
+///   synchronises with it: the runtime pushes the receiver onto its
+///   ready queue (`MuxShared::enqueue`). The poll that follows the
+///   wake-up sees the message.
 pub struct LiveLink<M> {
     from: ProcessId,
     to: ProcessId,
@@ -217,7 +212,6 @@ impl<M> LiveLink<M> {
                 lane_len: vec![0; lanes],
                 rng: SimRng::seed_from(link_seed),
                 stats: LinkStats::default(),
-                receiver: None,
             }),
         }
     }
@@ -232,16 +226,10 @@ impl<M> LiveLink<M> {
         self.to
     }
 
-    /// Registers (or replaces, after a worker restart) the receiving
-    /// thread to unpark on enqueue.
-    pub fn register_receiver(&self, receiver: Thread) {
-        self.inner.lock().expect("link poisoned").receiver = Some(receiver);
-    }
-
     /// Offers a message: the loss model may destroy it in transit, a full
     /// queue silently drops it (§4), otherwise it is enqueued (with a
-    /// jittered ready instant when configured) and the receiver is
-    /// unparked. Never blocks beyond the queue mutex, and a lossless
+    /// jittered ready instant when configured). Never blocks beyond the
+    /// queue mutex, and a lossless
     /// single-lane link that is full does not take it at all.
     pub fn send(&self, msg: M) -> SendFate {
         if self.lanes == 1
@@ -256,34 +244,25 @@ impl<M> LiveLink<M> {
             .as_ref()
             .map(|f| f(&msg).min(self.lanes - 1))
             .unwrap_or(0);
-        let wake;
-        let fate;
-        {
-            let mut inner = self.inner.lock().expect("link poisoned");
-            inner.stats.sends += 1;
-            if self.loss > 0.0 && inner.rng.gen_bool(self.loss) {
-                inner.stats.lost_in_transit += 1;
-                return SendFate::LostInTransit;
-            }
-            if inner.lane_len[lane] >= self.capacity {
-                inner.stats.lost_full += 1;
-                return SendFate::LostFull;
-            }
-            let ready = self.jitter.map(|j| {
-                let span = j.as_nanos().max(1) as usize;
-                Instant::now() + Duration::from_nanos(inner.rng.gen_range(0..span) as u64)
-            });
-            inner.queue.push_back((msg, ready, lane));
-            self.occupancy.store(inner.queue.len(), Ordering::Release);
-            inner.lane_len[lane] += 1;
-            inner.stats.enqueued += 1;
-            wake = inner.receiver.clone();
-            fate = SendFate::Enqueued;
+        let mut inner = self.inner.lock().expect("link poisoned");
+        inner.stats.sends += 1;
+        if self.loss > 0.0 && inner.rng.gen_bool(self.loss) {
+            inner.stats.lost_in_transit += 1;
+            return SendFate::LostInTransit;
         }
-        if let Some(t) = wake {
-            t.unpark();
+        if inner.lane_len[lane] >= self.capacity {
+            inner.stats.lost_full += 1;
+            return SendFate::LostFull;
         }
-        fate
+        let ready = self.jitter.map(|j| {
+            let span = j.as_nanos().max(1) as usize;
+            Instant::now() + Duration::from_nanos(inner.rng.gen_range(0..span) as u64)
+        });
+        inner.queue.push_back((msg, ready, lane));
+        self.occupancy.store(inner.queue.len(), Ordering::Release);
+        inner.lane_len[lane] += 1;
+        inner.stats.enqueued += 1;
+        SendFate::Enqueued
     }
 
     /// Removes and returns the head message if one is present and its
@@ -335,10 +314,6 @@ impl<M: Send> crate::transport::Link<M> for LiveLink<M> {
 
     fn to(&self) -> ProcessId {
         self.to
-    }
-
-    fn register_receiver(&self, receiver: Thread) {
-        LiveLink::register_receiver(self, receiver);
     }
 
     fn send(&self, msg: M) -> SendFate {

@@ -5,14 +5,14 @@
 //! ([`snapstab_apps::SnapshotProcess`]) *alongside* a service protocol
 //! `P` on the same transport: every wire message is a
 //! [`MonitoredMsg`] (service or monitor plane), and the composite is
-//! itself a [`Protocol`], so both runtime backends, the supervisor and
-//! the chaos engine drive it unchanged. [`Monitoring`] is the app
+//! itself a [`Protocol`], so the runtime, the supervisor and the chaos
+//! engine drive it unchanged. [`Monitoring`] is the app
 //! combinator that wraps the mutex or forwarding app this way for
 //! [`crate::run_service`]. Each initiator's client periodically
 //! requests a cut ([`Monitored::request_cut`]); one snapshot wave then
 //! collects a [`ProbeDigest`] per process — a digest of the live
 //! service state plus the instrumentation gauges each process's client
-//! maintains — **without pausing any worker**: digests are captured inside the
+//! maintains — **without pausing any instance**: digests are captured inside the
 //! ordinary atomic receive actions of the wave's broadcast, exactly
 //! where the paper's snapshot reads its value. The §4.1 protocol lets
 //! any process initiate, so [`MonitorConfig::initiators`] may run K
@@ -28,7 +28,7 @@
 //! channel contents, the per-link half of a cut is sampled as counters
 //! ([`crate::LinkSample`]) rather than recorded Chandy–Lamport style.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,8 @@ use snapstab_core::request::RequestState;
 use snapstab_sim::{Context, ProcessId, Protocol, SimRng, Trace, TraceEvent};
 
 use crate::chaos::ChaosHarness;
-use crate::runner::{LinkSample, LiveConfig, LiveStats, RuntimeBackend};
+use crate::mux::MuxRunner;
+use crate::runner::{LinkSample, LiveConfig, LiveStats};
 use crate::service::{
     quantiles, Client, Finished, ForwardTally, ForwardingServiceConfig, Gauged, Marks,
     MutexServiceConfig, MutexTally, ServiceApp,
@@ -393,6 +394,15 @@ where
         self.service.restore(s.service);
         self.monitor.restore(s.monitor);
     }
+
+    /// The service plane's own relevance rule; every cut event, which
+    /// Specification 5 reads.
+    fn event_is_spec_relevant(event: &Self::Event) -> bool {
+        match event {
+            MonitoredEvent::Service(e) => P::event_is_spec_relevant(e),
+            MonitoredEvent::Monitor(_) => true,
+        }
+    }
 }
 
 /// Projects a monitored run's merged trace onto the service plane:
@@ -683,6 +693,8 @@ struct MonitorFeed {
     cuts: Mutex<Vec<LiveCut>>,
     refused: AtomicU64,
     refused_by: Vec<AtomicU64>,
+    /// Whether each ledger has decided a wave yet, taken or refused.
+    settled: Vec<AtomicBool>,
     requested_at: Vec<Mutex<Option<Instant>>>,
     alerts: Mutex<Vec<Alert>>,
 }
@@ -694,6 +706,7 @@ impl MonitorFeed {
             cuts: Mutex::new(Vec::new()),
             refused: AtomicU64::new(0),
             refused_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            settled: (0..n).map(|_| AtomicBool::new(false)).collect(),
             requested_at: (0..n).map(|_| Mutex::new(None)).collect(),
             alerts: Mutex::new(Vec::new()),
         }
@@ -705,6 +718,7 @@ impl MonitorFeed {
 /// (request to drain) and run offset; a refusal clears the request
 /// slot and counts against the initiator.
 fn record_outcome(feed: &MonitorFeed, initiator: ProcessId, outcome: CutOutcome) {
+    feed.settled[initiator.index()].store(true, Ordering::Relaxed);
     match outcome {
         CutOutcome::Decided { cut, step, values } => {
             let staleness = feed.requested_at[initiator.index()]
@@ -772,7 +786,7 @@ impl Initiator {
     /// alert behavior is part of what the specifications judge) and
     /// pushed to the feed for the supervision loop. Returns whether it
     /// progressed. Link samples are attached loop-side (the client runs
-    /// inside a worker and has no view of the link matrix).
+    /// inside an atomic action and has no view of the link matrix).
     fn drive<P: Protocol>(&mut self, proc: &mut Monitored<P>, marks: &mut impl Marks) -> bool {
         let mut progressed = false;
         for outcome in proc.take_cuts() {
@@ -924,17 +938,18 @@ impl MonitorApp for &ForwardingServiceConfig {
 }
 
 /// The snapshot monitor as an app combinator: runs `app` with a
-/// [`Monitored`] composite per process on the same transport, on any
-/// backend and under chaos like any other app. Every completion writes
+/// [`Monitored`] composite per process on the same transport, under
+/// chaos or not, like any other app. Every completion writes
 /// a `"served"` marker; each of the [`MonitorConfig::initiators`]
 /// requests cuts on its schedule; decided cuts surface with the link
 /// samples of the moment, through `on_cut` as they do, and in the
-/// report's [`MonitorReport`]. On the mux backend one consistent cut
+/// report's [`MonitorReport`]. The run ends once the work is done and
+/// every initiator has decided at least one wave. One consistent cut
 /// spans every instance — digests are captured inside the same atomic
 /// per-instance step the scheduler serializes. Under chaos the
 /// composite (service *and* monitor plane) is corrupted, crashed and
 /// partitioned like any process, and stalled-served alerts mark every
-/// worker suspect for the supervisor.
+/// instance suspect for the supervisor.
 ///
 /// ```
 /// use snapstab_core::spec::{analyze_forwarding_trace, analyze_snapshot_trace};
@@ -1050,12 +1065,20 @@ impl<A: MonitorApp> ServiceApp for Monitoring<'_, A> {
         self.app.completed(&tally.inner)
     }
 
+    /// The work is done **and** every initiator's ledger has decided at
+    /// least one wave, taken or refused. Initiator `i` first asks for a
+    /// cut `interval·i/K` into the run, so a run that stopped with the
+    /// work would end before the later ledgers report anything; the time
+    /// budget still bounds the wait.
     fn done(&self, tally: &Self::Tally) -> bool {
         self.app.done(&tally.inner)
+            && tally.feed.settled[..self.mon.initiators]
+                .iter()
+                .all(|s| s.load(Ordering::Relaxed))
     }
 
     /// Surfaces newly decided cuts with the current link samples.
-    fn poll<B: RuntimeBackend<Self::Proc>>(&mut self, tally: &mut Self::Tally, runner: &B) {
+    fn poll(&mut self, tally: &mut Self::Tally, runner: &MuxRunner<Self::Proc>) {
         if tally.feed.cuts.lock().expect("cut feed").is_empty() {
             return;
         }
@@ -1065,7 +1088,7 @@ impl<A: MonitorApp> ServiceApp for Monitoring<'_, A> {
 
     /// Feeds newly fired stalled-served alerts to the supervisor as a
     /// wedge signal: the whole service showing zero progress across
-    /// consecutive consistent cuts (with work queued) marks every worker
+    /// consecutive consistent cuts (with work queued) marks every instance
     /// suspect, so the watchdog recycles any that show no fresh activity
     /// by its next pass instead of waiting out the full wedge deadline.
     fn chaos_ticked(&mut self, tally: &mut Self::Tally, harness: &mut ChaosHarness) {
@@ -1121,7 +1144,7 @@ impl<A: MonitorApp> ServiceApp for Monitoring<'_, A> {
 mod tests {
     use super::*;
     use crate::chaos::ChaosPlan;
-    use crate::service::{run_service, Backend, ServiceRun};
+    use crate::service::{run_service, ServiceRun};
     use snapstab_core::me::MeConfig;
     use snapstab_core::spec::{analyze_me_epochs, analyze_me_trace, analyze_snapshot_trace};
 
@@ -1142,13 +1165,9 @@ mod tests {
         }
     }
 
-    fn monitored<A: MonitorApp>(
-        app: A,
-        mon: &MonitorConfig,
-        backend: Backend,
-    ) -> A::MonitoredReport {
+    fn monitored<A: MonitorApp>(app: A, mon: &MonitorConfig, workers: usize) -> A::MonitoredReport {
         let run = ServiceRun {
-            backend,
+            workers,
             ..ServiceRun::default()
         };
         run_service(Monitoring::new(app, mon), run)
@@ -1159,7 +1178,7 @@ mod tests {
     #[test]
     fn monitored_mutex_serves_and_cuts_pass_spec5() {
         let cfg = mutex_cfg(3);
-        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
+        let report = monitored(&cfg, &fast_monitor(), 1);
         assert_eq!(report.served, 9, "monitoring must not eat requests");
         assert!(
             !report.monitor.cuts.is_empty(),
@@ -1187,7 +1206,7 @@ mod tests {
     #[test]
     fn monitored_trace_projects_to_clean_service_trace() {
         let cfg = mutex_cfg(3);
-        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
+        let report = monitored(&cfg, &fast_monitor(), 1);
         let trace = report.trace.as_ref().expect("recording on");
         let service = project_service_trace(trace);
         let me = analyze_me_trace(&service, cfg.n);
@@ -1246,7 +1265,7 @@ mod tests {
             live: LiveConfig::default(),
             time_budget: Duration::from_secs(45),
         };
-        let report = monitored(&cfg, &fast_monitor(), Backend::Threads);
+        let report = monitored(&cfg, &fast_monitor(), 1);
         assert_eq!(report.delivered, 120);
         assert!(!report.monitor.cuts.is_empty());
         let trace = report.trace.as_ref().expect("recording on");
@@ -1261,7 +1280,7 @@ mod tests {
             initiators: 2,
             ..fast_monitor()
         };
-        let report = monitored(&cfg, &mon, Backend::Threads);
+        let report = monitored(&cfg, &mon, 1);
         assert_eq!(report.served, 9, "extra initiators must not eat requests");
         assert_eq!(report.monitor.initiators, 2);
         assert!(
@@ -1306,7 +1325,7 @@ mod tests {
     #[test]
     fn monitored_mutex_on_mux_passes_spec5() {
         let cfg = mutex_cfg(4);
-        let report = monitored(&cfg, &fast_monitor(), Backend::Mux { workers: 2 });
+        let report = monitored(&cfg, &fast_monitor(), 2);
         assert_eq!(report.served, 12, "monitoring must not eat requests");
         assert!(
             !report.monitor.cuts.is_empty(),
@@ -1331,12 +1350,69 @@ mod tests {
             live: LiveConfig::default(),
             time_budget: Duration::from_secs(45),
         };
-        let report = monitored(&cfg, &fast_monitor(), Backend::Mux { workers: 2 });
+        let report = monitored(&cfg, &fast_monitor(), 2);
         assert_eq!(report.delivered, 6);
         assert!(!report.monitor.cuts.is_empty());
         let trace = report.trace.as_ref().expect("recording on");
         let spec = analyze_snapshot_trace(trace, cfg.n, &[]);
         assert!(spec.holds(), "{spec:?}");
+    }
+
+    /// A run whose work finishes long before the later initiators' first
+    /// due times (`interval·i/K`) still waits until every ledger has
+    /// decided a wave, so each one reports a cut or a refusal.
+    #[test]
+    fn every_initiator_decides_before_a_short_run_ends() {
+        let cfg = MutexServiceConfig {
+            requests_per_process: 1,
+            ..mutex_cfg(3)
+        };
+        let mon = MonitorConfig {
+            interval: Duration::from_millis(300),
+            initiators: 3,
+            ..MonitorConfig::default()
+        };
+        let report = monitored(&cfg, &mon, 2);
+        assert_eq!(report.served, 3);
+        let per = report.monitor.per_initiator();
+        assert_eq!(per.len(), 3);
+        for stats in &per {
+            assert!(stats.cuts + stats.refused >= 1, "{per:?}");
+        }
+        let trace = report.trace.as_ref().expect("recording on");
+        let spec = analyze_snapshot_trace(trace, cfg.n, &[]);
+        assert!(spec.holds(), "{spec:?}");
+    }
+
+    /// A `TraceDetail::Spec` recording of a monitored run keeps what
+    /// Specification 5 reads — every cut event and marker — and drops
+    /// the service plane's wave events, as the unmonitored service does.
+    #[test]
+    fn spec_detail_monitored_trace_passes_spec5_without_wave_events() {
+        let cfg = MutexServiceConfig {
+            live: LiveConfig {
+                detail: crate::TraceDetail::Spec,
+                ..LiveConfig::default()
+            },
+            ..mutex_cfg(3)
+        };
+        let report = monitored(&cfg, &fast_monitor(), 2);
+        assert_eq!(report.served, 9);
+        let trace = report.trace.as_ref().expect("recording on");
+        let waves = trace.count(|e| {
+            matches!(
+                e,
+                TraceEvent::Protocol {
+                    event: MonitoredEvent::Service(MeEvent::Pif(_)),
+                    ..
+                }
+            )
+        });
+        assert_eq!(waves, 0, "the service plane's wave events are dropped");
+        let spec = analyze_snapshot_trace(trace, cfg.n, &[]);
+        assert!(spec.holds(), "{spec:?}");
+        assert_eq!(spec.cuts_decided(), report.monitor.cuts.len());
+        assert!(spec.cuts_decided() >= 1);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! `MuxRunner` — the event-driven backend: N protocol instances
-//! multiplexed over a small pool of worker threads.
+//! `MuxRunner` — the live runtime: N protocol instances multiplexed over
+//! a small pool of worker threads.
 //!
-//! The thread-per-process backend ([`crate::LiveRunner`]) is faithful to
-//! the paper's "one process per machine" model but collapses into
-//! context-switch time-sharing long before the link layer saturates: at
-//! n = 64 the OS spends more time switching threads than the protocols
-//! spend exchanging messages. Yet a [`Protocol`] is already a step-driven
-//! state machine — the simulator proves it — so nothing forces the
-//! 1:1 thread mapping. This module runs the same instances, unchanged,
-//! on `W` pool workers:
+//! The paper's correctness arguments ask two things of an execution:
+//! every action is atomic, and every process is activated infinitely
+//! often. Neither needs one OS thread per process — a [`Protocol`] is a
+//! step-driven state machine, as the simulator shows — and a thread per
+//! process collapses into context-switch time-sharing long before the
+//! link layer saturates. This module runs the instances, unchanged, on
+//! `W` pool workers:
 //!
 //! * **Ready queue keyed by traffic.** When an instance's atomic action
 //!   sends into a link, the *receiver* instance is pushed onto a shared
@@ -17,29 +16,26 @@
 //!   workers steal ready instances and step them. A push wakes a worker
 //!   only when one is asleep (see "Wake-up protocol" below).
 //! * **Periodic sweep.** An idle pool re-enqueues every live instance
-//!   once per [`LiveConfig::max_backoff`] — the same cadence at which an
-//!   idle thread-backend worker re-polls, so retransmission behaviour
-//!   under loss matches across backends. Message loss, delivery jitter
-//!   and driver hooks need that time-driven re-examination, and so does
-//!   the protocol itself, with no loss at all: the sweep is the pool's
-//!   rendering of the paper's "every process is activated infinitely
-//!   often" (see "The sweep is the fairness timer" below).
-//! * **Same stamping, same checkers.** Every atomic action draws its
-//!   ticket from the identical global step counter and logs into a
-//!   per-instance [`Trace`]; [`MuxRunner::stop`] merges them exactly as
-//!   the thread backend does, so Spec 1/3/4/5 judge a mux run unchanged.
+//!   once per [`LiveConfig::max_backoff`], which paces retransmission
+//!   under loss. Message loss, delivery jitter and driver hooks need that
+//!   time-driven re-examination, and so does the protocol itself, with no
+//!   loss at all: the sweep is the pool's rendering of the paper's "every
+//!   process is activated infinitely often" (see "The sweep is the
+//!   fairness timer" below).
+//! * **Global stamping.** Every atomic action draws its ticket from one
+//!   global step counter and logs into a per-instance [`Trace`];
+//!   [`MuxRunner::stop`] merges the logs, so Spec 1/3/4/5 judge a live
+//!   run exactly as they judge a simulated one.
 //! * **Instance-level faults.** [`MuxRunner::crash`] parks an *instance*
-//!   (its worker keeps serving healthy neighbours) rather than killing a
-//!   thread, with the same observable semantics — state and log survive,
-//!   links hold backlogged messages, `"crash"`/`"restart"` markers
-//!   segment the trace — so the chaos harness drives both backends
-//!   through one seam ([`crate::RuntimeBackend`]).
+//!   (its worker keeps serving healthy neighbours): state and log
+//!   survive, links hold backlogged messages, and `"crash"`/`"restart"`
+//!   markers segment the trace.
 //!
 //! An instance is stepped under its own mutex, which *is* the atomic
 //! action boundary: the lock ordering is instance → ready-queue only, so
 //! the pool cannot deadlock, and a harness closure
 //! ([`MuxRunner::with_process_ctx`]) simply takes the lock — no command
-//! channels, no 30-second timeouts.
+//! channels, no timeouts.
 //!
 //! # Wake-up protocol
 //!
@@ -113,7 +109,7 @@
 //! ```
 //! use snapstab_core::idl::IdlProcess;
 //! use snapstab_core::request::RequestState;
-//! use snapstab_runtime::{LiveConfig, MuxRunner, RuntimeBackend};
+//! use snapstab_runtime::{LiveConfig, MuxRunner};
 //! use snapstab_sim::ProcessId;
 //! use std::time::Duration;
 //!
@@ -142,8 +138,7 @@ use snapstab_sim::{Context, ProcessId, Protocol, SendFate, SimRng, Trace, TraceE
 
 use crate::link::LaneOf;
 use crate::runner::{
-    Driver, LinkSample, LiveConfig, LiveReport, LiveStats, RuntimeBackend, Scribe, TraceDetail,
-    WorkerStats,
+    Driver, LinkSample, LiveConfig, LiveReport, LiveStats, Scribe, TraceDetail, WorkerStats,
 };
 use crate::transport::{InMemory, LinkMatrix, Transport};
 
@@ -158,8 +153,7 @@ struct InstanceCore<P: Protocol> {
     event_buf: Vec<P::Event>,
     stats: WorkerStats,
     driver: Option<Driver<P>>,
-    /// Rotates the incoming-link drain origin so no sender is favoured —
-    /// the same fairness device as the thread backend's worker loop.
+    /// Rotates the incoming-link drain origin so no sender is favoured.
     rotate: usize,
 }
 
@@ -234,8 +228,7 @@ where
 
     /// Blocks until an instance is ready (or the pool is stopping).
     /// An empty queue past the sweep deadline re-enqueues every live
-    /// instance — the pool's analogue of the thread backend's park
-    /// timeout, covering jittered deliveries, driver polling,
+    /// instance, covering jittered deliveries, driver polling,
     /// retransmission pacing under loss, and the activations the model
     /// owes an instance no traffic reaches (module docs, "The sweep is
     /// the fairness timer").
@@ -274,10 +267,10 @@ where
     }
 
     /// Commits the context-buffered sends and events of the atomic
-    /// action stamped `step` — identical bookkeeping to the thread
-    /// backend's `Worker::commit`, plus the ready-queue fast path: each
-    /// receiver of an enqueued message becomes ready immediately. A send
-    /// the transport destroyed entered no link and wakes nobody.
+    /// action stamped `step` — the live analogue of the simulator
+    /// runner's `commit_context_effects` — and makes each receiver of an
+    /// enqueued message ready immediately. A send the transport destroyed
+    /// entered no link and wakes nobody.
     fn commit(&self, i: usize, core: &mut InstanceCore<P>, step: u64) {
         let me = ProcessId::new(i);
         for (to, msg) in core.send_buf.drain(..) {
@@ -315,13 +308,13 @@ where
         }
     }
 
-    /// One scheduling quantum of instance `i`: drain deliverable
-    /// messages (each one an atomic receive action), run the driver
-    /// hook, then one activation sweep — the exact loop body of the
-    /// thread backend's worker, under the instance lock instead of on a
-    /// dedicated thread. Re-enqueues itself only when it made receive or
-    /// driver progress, mirroring the thread backend's backoff-reset
-    /// rule (an activation alone does not keep an instance hot).
+    /// One scheduling quantum of instance `i`, under its lock: drain
+    /// deliverable messages (each one an atomic receive action), run the
+    /// driver hook, then one activation sweep — all enabled internal
+    /// actions, in textual order, atomically: exactly
+    /// `Protocol::activate`. Re-enqueues itself only when it made receive
+    /// or driver progress (an activation alone does not keep an instance
+    /// hot).
     fn step_instance(&self, i: usize) {
         let slot = &self.slots[i];
         let mut guard = slot.core.lock().expect("instance poisoned");
@@ -423,7 +416,7 @@ where
 }
 
 /// Maps the `k`-th incoming slot of instance `i` back to the sender
-/// index (the thread backend materialises this as its `incoming` vec).
+/// index.
 fn incoming_origin(i: usize, k: usize) -> usize {
     if k < i {
         k
@@ -432,10 +425,18 @@ fn incoming_origin(i: usize, k: usize) -> usize {
     }
 }
 
-/// The event-driven multiplexed runtime: `n` protocol instances stepped
-/// by `workers` pool threads over the same [`Transport`]-built link
-/// matrix as [`crate::LiveRunner`]. See the module docs for the design
-/// and the crate docs for where it sits in the reproduction.
+/// The pool size a service runs on unless told otherwise
+/// ([`crate::ServiceRun::default`], the CLI's `--workers`): the smallest
+/// pool that still steps instances in parallel, so a default run
+/// exercises concurrent interleavings. It is chosen for that coverage,
+/// not for speed: one worker is fastest, which is why the repo
+/// benchmark pins one (ARCHITECTURE §7 has the numbers).
+pub const DEFAULT_WORKERS: usize = 2;
+
+/// The live runtime: `n` protocol instances stepped by `workers` pool
+/// threads over a [`Transport`]-built link matrix. See the module docs
+/// for the design and the crate docs for where it sits in the
+/// reproduction.
 pub struct MuxRunner<P: Protocol> {
     shared: Arc<MuxShared<P>>,
     handles: Vec<JoinHandle<()>>,
@@ -447,8 +448,7 @@ pub struct MuxRunner<P: Protocol> {
 
 impl<P: Protocol> Drop for MuxRunner<P> {
     fn drop(&mut self) {
-        // Parity with the thread backend's channel-disconnect exit: a
-        // dropped runner releases its pool instead of leaking spinning
+        // A dropped runner releases its pool instead of leaking spinning
         // sweeps. `stop` already joined the handles by the time it drops
         // `self`, so this second signal is an idempotent no-op there.
         self.shared.stop.store(true, Ordering::Release);
@@ -476,11 +476,16 @@ where
             .expect("the in-memory transport is infallible")
     }
 
-    /// Spawns the pool over an arbitrary [`Transport`] backend —
-    /// in-memory links or real sockets run unchanged, exactly as under
-    /// the thread backend. Fallible because a networked backend binds OS
-    /// resources. Drivers and `lanes` work as on the thread backend
-    /// ([`crate::LiveRunner::spawn_with_transport`]).
+    /// Spawns the pool over an arbitrary [`Transport`] backend — the
+    /// in-memory [`InMemory`] links or real sockets (`snapstab-net`'s
+    /// `UdpLoopback`). Fallible because a networked backend binds OS
+    /// resources. Each process may get a driver hook run every quantum —
+    /// how [`crate::run_service`] injects a client workload. With
+    /// `lanes`, `lane_of` classifies each message into one of that many
+    /// lanes and every link enforces the capacity bound (with its §4
+    /// silent drop-on-full) per lane — how the sharded service shares one
+    /// link per ordered process pair among independent protocol
+    /// instances.
     ///
     /// # Panics
     ///
@@ -595,38 +600,45 @@ where
             core.log.push_marker(step, p, label);
         }
     }
-}
 
-impl<P> RuntimeBackend<P> for MuxRunner<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Event: Send,
-{
-    fn n(&self) -> usize {
+    /// Number of protocol instances.
+    pub fn n(&self) -> usize {
         self.shared.n
     }
 
-    fn step_count(&self) -> u64 {
+    /// Global atomic steps executed so far.
+    pub fn step_count(&self) -> u64 {
         self.shared.counter.load(Ordering::Relaxed)
     }
 
-    fn is_crashed(&self, p: ProcessId) -> bool {
+    /// True if instance `p` is currently crashed.
+    pub fn is_crashed(&self, p: ProcessId) -> bool {
         self.shared.slots[p.index()].crashed.load(Ordering::Acquire)
     }
 
-    fn activity(&self, p: ProcessId) -> u64 {
+    /// Instance `p`'s liveness counter: deliveries plus effective
+    /// activations, bumped by whichever worker steps it. A supervisor
+    /// polls this to detect *wedged* instances (no effective progress
+    /// within a deadline) without taking the instance lock.
+    pub fn activity(&self, p: ProcessId) -> u64 {
         self.shared.slots[p.index()]
             .activity
             .load(Ordering::Relaxed)
     }
 
-    /// Parks instance `p`: the instance-level analogue of a crash
-    /// failure. Setting the flag and then taking the instance lock waits
-    /// for any in-flight atomic action to finish, so the crash lands on
-    /// an action boundary — exactly where the thread backend's joined
-    /// thread stops. Workers skip the instance; its links hold backlog.
-    fn crash(&mut self, p: ProcessId) -> bool {
+    /// Parks instance `p`: the live analogue of a crash failure. Setting
+    /// the flag and then taking the instance lock waits for any in-flight
+    /// atomic action to finish, so the crash lands on an action boundary.
+    /// Workers skip the instance; messages addressed to it stay in its
+    /// incoming links (new sends keep hitting the capacity bound), and
+    /// nothing it would have sent appears — the simulator's crash
+    /// semantics. State and log survive for [`MuxRunner::restart`].
+    ///
+    /// Idempotent: crashing an already-crashed instance is a counted
+    /// no-op ([`MuxRunner::crash_noops`]) returning `false`, so a
+    /// supervisor and a chaos schedule can race without tearing the
+    /// runner down. Returns `true` if this call crashed the instance.
+    pub fn crash(&mut self, p: ProcessId) -> bool {
         let slot = &self.shared.slots[p.index()];
         if slot.crashed.swap(true, Ordering::AcqRel) {
             self.crash_noops += 1;
@@ -638,8 +650,10 @@ where
     }
 
     /// Unparks a crashed instance and makes it ready immediately, so it
-    /// drains any backlog its links accumulated.
-    fn restart(&mut self, p: ProcessId) -> bool {
+    /// drains any backlog its links accumulated. Idempotent like
+    /// [`MuxRunner::crash`]: restarting a live instance is a counted
+    /// no-op ([`MuxRunner::restart_noops`]) returning `false`.
+    pub fn restart(&mut self, p: ProcessId) -> bool {
         let slot = &self.shared.slots[p.index()];
         if !slot.crashed.load(Ordering::Acquire) {
             self.restart_noops += 1;
@@ -654,27 +668,32 @@ where
         true
     }
 
-    fn crash_noops(&self) -> u64 {
+    /// How many [`MuxRunner::crash`] calls were no-ops.
+    pub fn crash_noops(&self) -> u64 {
         self.crash_noops
     }
 
-    fn restart_noops(&self) -> u64 {
+    /// How many [`MuxRunner::restart`] calls were no-ops.
+    pub fn restart_noops(&self) -> u64 {
         self.restart_noops
     }
 
-    fn link_samples(&self) -> Vec<LinkSample> {
+    /// Samples every directed link *while the run is live*: cumulative
+    /// counters plus instantaneous in-transit occupancy, in row-major
+    /// `(from, to)` order. Takes no instance lock, so sampling never
+    /// pauses the pool — this is what the monitor attaches to each
+    /// decided cut.
+    pub fn link_samples(&self) -> Vec<LinkSample> {
         LinkSample::all(&self.shared.links)
     }
 
     /// Runs a closure against instance `p` under its lock — atomic with
     /// respect to its protocol actions by construction, crashed or not
-    /// (a crashed instance's state is directly accessible, like the
-    /// thread backend's parked state). No command round-trip, no
-    /// timeout.
-    fn with_process_ctx<R, F>(&mut self, p: ProcessId, f: F) -> R
+    /// (a crashed instance's state is directly accessible) — and returns
+    /// its result.
+    pub fn with_process_ctx<R, F>(&mut self, p: ProcessId, f: F) -> R
     where
-        R: Send + 'static,
-        F: FnOnce(&mut P, &mut Scribe<'_, P::Msg, P::Event>) -> R + Send + 'static,
+        F: FnOnce(&mut P, &mut Scribe<'_, P::Msg, P::Event>) -> R,
     {
         let i = p.index();
         let slot = &self.shared.slots[i];
@@ -691,10 +710,42 @@ where
         out
     }
 
+    /// Runs a closure against instance `p` and returns its result.
+    pub fn with_process<R>(&mut self, p: ProcessId, f: impl FnOnce(&mut P) -> R) -> R {
+        self.with_process_ctx(p, move |proto, _scribe| f(proto))
+    }
+
+    /// Records a harness marker at instance `p` under a fresh global
+    /// step.
+    pub fn mark(&mut self, p: ProcessId, label: impl Into<String>) {
+        self.with_process_ctx(p, move |_proto, scribe| {
+            scribe.mark(label);
+        });
+    }
+
+    /// Polls `pred` on instance `p` until it holds or `timeout` elapses.
+    /// Returns whether it held.
+    pub fn wait_until(
+        &mut self,
+        p: ProcessId,
+        pred: impl Fn(&P) -> bool,
+        timeout: Duration,
+    ) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.with_process(p, |proto| pred(proto)) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
     /// Stops the pool, joins the workers, and merges the per-instance
-    /// logs into one step-ordered trace — the same [`LiveReport`] shape
-    /// as the thread backend, so every spec checker runs unchanged.
-    fn stop(mut self) -> LiveReport<P> {
+    /// logs into one step-ordered trace.
+    pub fn stop(mut self) -> LiveReport<P> {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.available.notify_all();
         for h in self.handles.drain(..) {
@@ -861,14 +912,14 @@ mod tests {
     fn mux_crash_restart_idempotent_counted_noops() {
         let mut r = MuxRunner::spawn(idl_fleet(3), LiveConfig::default(), 1);
         assert!(!r.restart(p(1)));
-        assert_eq!(RuntimeBackend::restart_noops(&r), 1);
+        assert_eq!(r.restart_noops(), 1);
         assert!(r.crash(p(1)));
         assert!(!r.crash(p(1)));
-        assert_eq!(RuntimeBackend::crash_noops(&r), 1);
+        assert_eq!(r.crash_noops(), 1);
         assert!(r.is_crashed(p(1)));
         assert!(r.restart(p(1)));
         assert!(!r.restart(p(1)));
-        assert_eq!(RuntimeBackend::restart_noops(&r), 2);
+        assert_eq!(r.restart_noops(), 2);
         assert!(!r.is_crashed(p(1)));
         r.with_process(p(1), |m: &mut IdlProcess| m.request_learning());
         assert!(r.wait_until(
@@ -956,7 +1007,7 @@ mod tests {
     #[test]
     fn mux_activity_counter_tracks_instance_progress() {
         let mut r = MuxRunner::spawn(idl_fleet(3), LiveConfig::default(), 2);
-        let before = RuntimeBackend::activity(&r, p(0));
+        let before = r.activity(p(0));
         r.with_process(p(0), |m: &mut IdlProcess| m.request_learning());
         assert!(r.wait_until(
             p(0),
@@ -964,7 +1015,7 @@ mod tests {
             Duration::from_secs(30),
         ));
         assert!(
-            RuntimeBackend::activity(&r, p(0)) > before,
+            r.activity(p(0)) > before,
             "a wave must register as instance activity"
         );
         r.stop();

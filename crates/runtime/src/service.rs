@@ -1,12 +1,12 @@
 //! One way to run a live service. An *app* says what runs — the
 //! protocol, one closed-loop client per process, the report it yields —
-//! and a [`ServiceRun`] says how: on which [`Backend`], over which
+//! and a [`ServiceRun`] says how: on how many pool workers, over which
 //! [`Transport`], under which [`ChaosPlan`] if any. [`run_service`] is
 //! the one driver for every combination: it builds the app, wraps the
 //! transport in a [`ChaosTransport`] when a plan is given, spawns the
-//! backend, supervises the run until the workload completes (and the
-//! chaos schedule drained) or the budget expires, and hands the stopped
-//! run back to the app to report.
+//! [`MuxRunner`], supervises the run until the workload completes (and
+//! the chaos schedule drained) or the budget expires, and hands the
+//! stopped run back to the app to report.
 //!
 //! Three apps ship here, and [`crate::monitor::Monitoring`] wraps the
 //! first and the last with a snapshot monitor:
@@ -48,20 +48,20 @@ use snapstab_sim::{ProcessId, Protocol, SimRng, Trace};
 
 use crate::chaos::{ChaosHarness, ChaosPlan, ChaosReport, ChaosTransport, FaultPlane};
 use crate::link::LaneOf;
-use crate::mux::MuxRunner;
-use crate::runner::{
-    Driver, LinkSample, LiveConfig, LiveRunner, LiveStats, RuntimeBackend, Scribe,
-};
+use crate::mux::{MuxRunner, DEFAULT_WORKERS};
+use crate::runner::{Driver, LinkSample, LiveConfig, LiveStats, Scribe};
 use crate::transport::{InMemory, Transport};
 
-/// The runtime backend a service runs on. Every app runs on either —
-/// here the sharded service on the mux pool, its per-shard capacity
-/// lanes reaching the transport exactly as on threads:
+/// How to run a service: the pool size, the transport, and an optional
+/// chaos schedule. The default is [`DEFAULT_WORKERS`] workers over the
+/// in-memory transport, without chaos. Every app runs under every
+/// combination — here the sharded service, its per-shard capacity lanes
+/// reaching the transport:
 ///
 /// ```
 /// use snapstab_core::shard::project_shard_trace;
 /// use snapstab_core::spec::analyze_me_trace;
-/// use snapstab_runtime::{run_service, Backend, ServiceRun, ShardedServiceConfig};
+/// use snapstab_runtime::{run_service, ServiceRun, ShardedServiceConfig};
 /// use std::time::Duration;
 ///
 /// let cfg = ShardedServiceConfig {
@@ -72,11 +72,7 @@ use crate::transport::{InMemory, Transport};
 ///     time_budget: Duration::from_secs(30),
 ///     ..ShardedServiceConfig::default()
 /// };
-/// let run = ServiceRun {
-///     backend: Backend::Mux { workers: 2 },
-///     ..ServiceRun::default()
-/// };
-/// let (report, _) = run_service(&cfg, run).unwrap();
+/// let (report, _) = run_service(&cfg, ServiceRun::default()).unwrap();
 /// assert_eq!(report.served, 12);
 /// // The grant log audits the composition: conflict-free batches,
 /// // correct shard routing, every request served exactly once; each
@@ -87,24 +83,9 @@ use crate::transport::{InMemory, Transport};
 ///     assert!(analyze_me_trace(&project_shard_trace(&trace, s), 3).exclusivity_holds());
 /// }
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Backend {
-    /// One OS thread per process ([`LiveRunner`]).
-    Threads,
-    /// The processes multiplexed over a pool of `workers` threads
-    /// ([`MuxRunner`]).
-    Mux {
-        /// Pool size (at least 1).
-        workers: usize,
-    },
-}
-
-/// How to run a service: the backend, the transport, and an optional
-/// chaos schedule. The default is the thread backend over the in-memory
-/// transport, without chaos.
 pub struct ServiceRun<'a, M> {
-    /// Thread-per-process or the mux pool.
-    pub backend: Backend,
+    /// Pool size (at least 1).
+    pub workers: usize,
     /// The message substrate ([`InMemory`], `snapstab-net`'s
     /// `UdpLoopback`, …).
     pub transport: &'a dyn Transport<M>,
@@ -119,7 +100,7 @@ pub struct ServiceRun<'a, M> {
 impl<M: Send + 'static> Default for ServiceRun<'_, M> {
     fn default() -> Self {
         ServiceRun {
-            backend: Backend::Threads,
+            workers: DEFAULT_WORKERS,
             transport: &InMemory,
             chaos: None,
         }
@@ -171,7 +152,7 @@ pub trait Gauged<P> {
 /// The wire message type of an app's processes.
 pub type Msg<A> = <<A as ServiceApp>::Proc as Protocol>::Msg;
 
-/// What [`run_service`] hands an app once the backend has stopped.
+/// What [`run_service`] hands an app once the runner has stopped.
 pub struct Finished<P: Protocol> {
     /// Final process states, in id order.
     pub processes: Vec<P>,
@@ -221,7 +202,7 @@ pub trait ServiceApp {
     fn done(&self, tally: &Self::Tally) -> bool;
 
     /// Run at the top of every supervision pass.
-    fn poll<B: RuntimeBackend<Self::Proc>>(&mut self, _tally: &mut Self::Tally, _runner: &B) {}
+    fn poll(&mut self, _tally: &mut Self::Tally, _runner: &MuxRunner<Self::Proc>) {}
 
     /// Run after every chaos harness tick.
     fn chaos_ticked(&mut self, _tally: &mut Self::Tally, _harness: &mut ChaosHarness) {}
@@ -239,7 +220,7 @@ pub trait ServiceApp {
 ///
 /// ```
 /// use snapstab_core::spec::analyze_me_trace;
-/// use snapstab_runtime::{run_service, Backend, MutexServiceConfig, ServiceRun};
+/// use snapstab_runtime::{run_service, MutexServiceConfig, ServiceRun};
 /// use std::time::Duration;
 ///
 /// let cfg = MutexServiceConfig {
@@ -249,7 +230,7 @@ pub trait ServiceApp {
 ///     ..MutexServiceConfig::default()
 /// };
 /// let run = ServiceRun {
-///     backend: Backend::Mux { workers: 2 },
+///     workers: 1,
 ///     ..ServiceRun::default()
 /// };
 /// let (report, chaos) = run_service(&cfg, run).unwrap();
@@ -280,35 +261,21 @@ pub fn run_service<A: ServiceApp>(
         None => run.transport,
     };
     let chaos = run.chaos.zip(chaos_transport.as_ref().map(|ct| ct.plane()));
-    Ok(match run.backend {
-        Backend::Threads => {
-            let runner =
-                LiveRunner::spawn_with_transport(processes, drivers, live, transport, lanes)?;
-            supervise(app, tally, runner, chaos)
-        }
-        Backend::Mux { workers } => {
-            let runner = MuxRunner::spawn_with_transport(
-                processes, drivers, live, workers, transport, lanes,
-            )?;
-            supervise(app, tally, runner, chaos)
-        }
-    })
+    let runner =
+        MuxRunner::spawn_with_transport(processes, drivers, live, run.workers, transport, lanes)?;
+    Ok(supervise(app, tally, runner, chaos))
 }
 
 /// The supervision loop: every 2 ms, tick the chaos harness (if any)
 /// until the workload is done and the schedule drained, or the budget
 /// expires; then heal, sample the links while the matrix is alive, and
 /// stop.
-fn supervise<A, B>(
+fn supervise<A: ServiceApp>(
     mut app: A,
     mut tally: A::Tally,
-    mut runner: B,
+    mut runner: MuxRunner<A::Proc>,
     chaos: Option<(&ChaosPlan, FaultPlane)>,
-) -> (A::Report, Option<ChaosReport>)
-where
-    A: ServiceApp,
-    B: RuntimeBackend<A::Proc>,
-{
+) -> (A::Report, Option<ChaosReport>) {
     let mut harness =
         chaos.map(|(plan, plane)| ChaosHarness::new(plan, plane, runner.n(), app.live()));
     let deadline = Instant::now() + app.time_budget();
@@ -413,7 +380,7 @@ pub struct ServiceReport {
     /// Per-request service latencies (injection to `Done`).
     pub latencies: Vec<Duration>,
     /// Per-link counters sampled just before shutdown — the same
-    /// drop/reorder/in-transit table for every transport backend.
+    /// drop/reorder/in-transit table for every transport.
     pub link_samples: Vec<LinkSample>,
 }
 
@@ -569,7 +536,7 @@ impl ServiceApp for &MutexServiceConfig {
     }
 }
 
-/// The mutex app on the mux backend over `transport` (the repo
+/// The mutex app on a `workers`-thread pool over `transport` (the repo
 /// benchmark calls it by this name).
 pub fn run_mutex_service_mux_on(
     cfg: &MutexServiceConfig,
@@ -579,7 +546,7 @@ pub fn run_mutex_service_mux_on(
     run_service(cfg, on_mux(workers, transport, None)).map(|(report, _)| report)
 }
 
-/// The mutex app on the mux backend over `transport`, under `plan` (the
+/// The mutex app on a `workers`-thread pool over `transport`, under `plan` (the
 /// repo benchmark calls it by this name).
 pub fn run_mutex_service_chaos_mux_on(
     cfg: &MutexServiceConfig,
@@ -598,7 +565,7 @@ fn on_mux<'a, M>(
     chaos: Option<&'a ChaosPlan>,
 ) -> ServiceRun<'a, M> {
     ServiceRun {
-        backend: Backend::Mux { workers },
+        workers,
         transport,
         chaos,
     }
@@ -946,7 +913,7 @@ pub struct ForwardingServiceConfig {
     pub buffer_cap: usize,
     /// Start from adversarially pre-filled buffers: every process's
     /// lanes and hop slots are stuffed with distinct stale entries
-    /// before the workers spawn
+    /// before the pool spawns
     /// ([`ForwardProcess::prefill_stale`]) — the
     /// arbitrary-initial-buffer configuration Specification 4 is judged
     /// against.
@@ -995,7 +962,7 @@ pub struct ForwardingServiceReport {
     /// destination).
     pub latencies: Vec<Duration>,
     /// Per-link counters sampled just before shutdown — the same
-    /// drop/reorder/in-transit table for every transport backend.
+    /// drop/reorder/in-transit table for every transport.
     pub link_samples: Vec<LinkSample>,
 }
 
@@ -1181,7 +1148,7 @@ impl ServiceApp for &ForwardingServiceConfig {
     }
 }
 
-/// The forwarding app on the mux backend over `transport` (the repo
+/// The forwarding app on a `workers`-thread pool over `transport` (the repo
 /// benchmark calls it by this name).
 pub fn run_forwarding_service_mux_on(
     cfg: &ForwardingServiceConfig,

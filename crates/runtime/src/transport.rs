@@ -1,5 +1,5 @@
-//! The pluggable transport abstraction: what [`LiveRunner`] needs from a
-//! message substrate, extracted from [`LiveLink`].
+//! The pluggable transport abstraction: what [`crate::MuxRunner`] needs
+//! from a message substrate, extracted from [`LiveLink`].
 //!
 //! A *transport* wires a fully connected topology of `n` processes: for
 //! every ordered pair `(from, to)` it produces one directed [`Link`]
@@ -12,9 +12,8 @@
 //!
 //! * [`InMemory`] (this crate) — the original [`LiveLink`] path: a
 //!   `Mutex`-guarded queue per directed pair, loss and jitter injected by
-//!   a seeded per-link RNG. [`crate::LiveRunner::spawn`] and the service
-//!   front-ends use it by default; behavior is identical to the
-//!   pre-abstraction runtime.
+//!   a seeded per-link RNG. [`crate::MuxRunner::spawn`] and
+//!   [`crate::ServiceRun::default`] use it.
 //! * `UdpLoopback` (`snapstab-net`) — a real UDP datagram socket, one
 //!   per topology: the kernel supplies loss, duplication and finite
 //!   buffering for free, and the receive path *enforces* the paper's
@@ -34,8 +33,6 @@
 //! assert_eq!(link.try_recv(), Some(7));
 //! assert_eq!(link.stats().delivered, 1);
 //! ```
-//!
-//! [`LiveRunner`]: crate::LiveRunner
 
 use std::sync::Arc;
 use std::thread::Thread;
@@ -72,23 +69,19 @@ pub fn assert_channel_domain(capacity: usize, loss: f64, lanes: usize) {
 }
 
 /// One concurrent directed FIFO channel with the paper's §4 semantics —
-/// the interface [`crate::LiveRunner`]'s workers drive, extracted from
+/// the interface [`crate::MuxRunner`]'s pool drives, extracted from
 /// [`LiveLink`].
 ///
-/// Implementations must be thread-safe: the sending worker calls
-/// [`Link::send`] while the receiving worker calls [`Link::try_recv`]
-/// (and, for socket backends, any worker's [`Link::pump`] feeds the
-/// queue).
+/// Implementations must be thread-safe: the worker stepping the sender
+/// calls [`Link::send`] while the one stepping the receiver calls
+/// [`Link::try_recv`] (and, for socket backends, any worker's
+/// [`Link::pump`] feeds the queue).
 pub trait Link<M>: Send + Sync {
     /// Sender side of the link.
     fn from(&self) -> ProcessId;
 
     /// Receiver side of the link.
     fn to(&self) -> ProcessId;
-
-    /// Registers (or replaces, after a worker restart) the receiving
-    /// thread, unparked whenever a message becomes deliverable.
-    fn register_receiver(&self, receiver: Thread);
 
     /// Offers a message. The transport may destroy it (fair loss) or
     /// silently drop it on a full lane (§4); the sender is never told
@@ -114,7 +107,7 @@ pub trait Link<M>: Send + Sync {
 
     /// Moves whatever the link's transport has buffered, in both
     /// directions, for **every** link of the topology: sends what `send`
-    /// staged and delivers what has arrived. Both backends call it once
+    /// staged and delivers what has arrived. The runtime calls it once
     /// per scheduling quantum, on any one link. A transport whose `send`
     /// puts the message in the link itself — [`LiveLink`] — has nothing
     /// to move.
@@ -123,9 +116,19 @@ pub trait Link<M>: Send + Sync {
     /// Registers a callback run after every message this link's queue
     /// accepts, outside the link's locks — for a transport whose `send`
     /// returns before the message is in the link, so the sender cannot
-    /// wake the receiver itself. The mux backend registers its
-    /// ready-queue push on every incoming link of every instance.
+    /// wake the receiver itself. The runtime registers its ready-queue
+    /// push on every incoming link of every instance.
     fn register_waker(&self, _waker: Arc<dyn Fn() + Send + Sync>) {}
+}
+
+impl<M: 'static> dyn Link<M> {
+    /// Unparks `receiver` wherever [`Link::register_waker`]'s callback
+    /// runs — for code that waits on a bare link from a plain thread, such
+    /// as the repo benchmark's UDP micro span. A link whose `send` puts
+    /// the message in the queue itself ([`LiveLink`]) runs no callback.
+    pub fn register_receiver(&self, receiver: Thread) {
+        self.register_waker(Arc::new(move || receiver.unpark()));
+    }
 }
 
 /// The full directed link matrix of a fully connected `n`-process

@@ -1,14 +1,16 @@
 //! A mutual-exclusion *service* on the live runtime: Algorithm 3 running
-//! on one OS thread per process over a concurrent lossy transport,
-//! absorbing a client request stream — then the merged trace checked
-//! against Specification 3.
+//! as one instance per process on a small worker pool, over a concurrent
+//! lossy transport, absorbing a client request stream — then the merged
+//! trace checked against Specification 3.
 //!
 //! Run with: `cargo run --release --example live_mutex_service`
 
 use std::time::Duration;
 
 use snapstab_repro::core::spec::analyze_me_trace;
-use snapstab_repro::runtime::{run_service, LiveConfig, MutexServiceConfig, ServiceRun};
+use snapstab_repro::runtime::{
+    run_service, LiveConfig, MutexServiceConfig, ServiceRun, DEFAULT_WORKERS,
+};
 
 fn main() {
     let n = 8;
@@ -27,7 +29,8 @@ fn main() {
     };
 
     println!(
-        "live mutex service: {n} worker threads, {} requests/process, 10% loss",
+        "live mutex service: {n} instances on {DEFAULT_WORKERS} worker threads, \
+         {} requests/process, 10% loss",
         cfg.requests_per_process
     );
     let (report, _) = run_service(&cfg, ServiceRun::default()).expect("in-memory");

@@ -32,7 +32,7 @@ fn main() {
     };
 
     println!(
-        "sharded mutex service: {n} worker threads × {shards} shards \
+        "sharded mutex service: {n} processes × {shards} shards \
          (leaders on processes 0..{shards}), batch ≤ {}, {} requests/process",
         cfg.batch, cfg.requests_per_process
     );

@@ -1,7 +1,7 @@
 //! The same mutual-exclusion service — but every message crosses a real
-//! UDP socket: Algorithm 3 on one OS thread per process over the loopback
-//! interface (`snapstab-net`), each worker's output coalesced into one
-//! frame per loop iteration, with the paper's §4 channel semantics
+//! UDP socket: Algorithm 3 on a small worker pool over the loopback
+//! interface (`snapstab-net`), each scheduling quantum's output coalesced
+//! into one frame, with the paper's §4 channel semantics
 //! enforced per record in the receive path, judged by the unchanged
 //! Specification 3 checker.
 //!
@@ -11,7 +11,9 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::analyze_me_trace;
 use snapstab_repro::net::{udp_available, UdpLoopback};
-use snapstab_repro::runtime::{run_service, LiveConfig, MutexServiceConfig, ServiceRun};
+use snapstab_repro::runtime::{
+    run_service, LiveConfig, MutexServiceConfig, ServiceRun, DEFAULT_WORKERS,
+};
 
 fn main() {
     if !udp_available() {
@@ -33,7 +35,8 @@ fn main() {
     };
 
     println!(
-        "UDP mutex service: {n} worker threads, {} requests/process, 10% injected loss",
+        "UDP mutex service: {n} instances on {DEFAULT_WORKERS} worker threads, \
+         {} requests/process, 10% injected loss",
         cfg.requests_per_process
     );
     // The transport object runs nothing (the workers move the frames);

@@ -20,8 +20,9 @@
 //! * [`apps`] — the PIF applications the paper names in §4.1 (snapshot,
 //!   leader election, reset, phase barrier, termination detection), each
 //!   snap-stabilizing by construction on top of Theorem 2;
-//! * [`runtime`] — the *live* execution substrate: the same protocols on
-//!   real OS threads over a pluggable concurrent transport, with merged
+//! * [`runtime`] — the *live* execution substrate: the same protocols
+//!   multiplexed over a pool of real OS threads and a pluggable
+//!   concurrent transport, with merged
 //!   traces the spec checkers accept, and a mutual-exclusion service
 //!   front-end absorbing high-volume client request streams;
 //! * [`net`] — the UDP datagram backend of the runtime's `Transport`

@@ -1,5 +1,5 @@
 //! Chaos conformance: seeded transient-fault injection against *live*
-//! mid-flight service runs — worker state corruption, crash/restart
+//! mid-flight service runs — instance state corruption, crash/restart
 //! storms, link partitions and drop storms — with the supervised
 //! self-healing runtime, judged by the epoch-segmented executable
 //! specifications (`analyze_me_epochs` / `analyze_forwarding_epochs`).
@@ -9,7 +9,7 @@
 //! bursts and asserts the tally), and every run must produce a clean
 //! per-epoch Specification 3/4 verdict with zero manual intervention:
 //! the supervisor alone detects and heals every crashed or wedged
-//! worker, and the engine alone heals every partition and drop storm.
+//! instance, and the engine alone heals every partition and drop storm.
 //!
 //! UDP variants skip with a warning — like `tests/udp_runtime.rs` —
 //! when the sandbox forbids socket creation.
@@ -36,7 +36,7 @@ const MIXES: [ChaosMix; 5] = [
     ChaosMix::All,
 ];
 
-/// Runs `app` on the thread backend over `transport` under `plan`.
+/// Runs `app` on the default pool over `transport` under `plan`.
 fn under_chaos<A: ServiceApp>(
     app: A,
     transport: &dyn Transport<Msg<A>>,

@@ -6,7 +6,7 @@
 //! conformance on the shared deterministic workload, and a
 //! skip-and-warn UDP forwarding run (`tests/udp_runtime.rs` style).
 //!
-//! Every trace — simulated or merged from live worker logs — is judged
+//! Every trace — simulated or merged from live instance logs — is judged
 //! by the *same* executable Specification 4 checker
 //! ([`analyze_forwarding_trace`]): every injected payload delivered to
 //! its destination exactly once with intact data, nothing lost; stale
@@ -66,7 +66,7 @@ fn sim_forwarding_spec4_holds_across_seeds_and_loss() {
 
 /// The live counterpart: seeded runs across the same loss tiers on the
 /// in-memory transport, buffers adversarially pre-filled before the
-/// workers spawn, merged traces passing the same checker.
+/// pool spawns, merged traces passing the same checker.
 #[test]
 fn live_forwarding_spec4_holds_across_seeds_and_loss() {
     for &loss in &[0.0, 0.1, 0.3] {

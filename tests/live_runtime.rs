@@ -1,7 +1,7 @@
 //! Live-vs-sim conformance: the executable specifications of
-//! `snapstab_core::spec` accept merged traces of *live* multi-threaded
-//! runs exactly as they accept simulated ones, across seeds and loss
-//! rates — plus a crash/restart stress over a lossy transport.
+//! `snapstab_core::spec` accept merged traces of *live* runs on the
+//! worker pool exactly as they accept simulated ones, across seeds and
+//! loss rates — plus a crash/restart stress over a lossy transport.
 //!
 //! Every test here self-terminates well under 60 seconds: waits are
 //! bounded, and a bound miss is a failure, not a hang.
@@ -14,7 +14,7 @@ use snapstab_repro::core::pif::{PifApp, PifProcess};
 use snapstab_repro::core::request::RequestState;
 use snapstab_repro::core::spec::{analyze_me_trace, check_pif_wave};
 use snapstab_repro::runtime::{
-    run_service, LiveConfig, LiveRunner, MutexServiceConfig, RuntimeBackend, ServiceRun,
+    run_service, LiveConfig, MutexServiceConfig, MuxRunner, ServiceRun, DEFAULT_WORKERS,
 };
 use snapstab_repro::sim::{
     Capacity, LossModel, NetworkBuilder, ProcessId, RandomScheduler, Runner,
@@ -53,7 +53,7 @@ fn live_pif_wave_holds(n: usize, loss: f64, seed: u64) -> bool {
         jitter: Some(Duration::from_micros(200)),
         ..LiveConfig::default()
     };
-    let mut runner = LiveRunner::spawn(pif_fleet(n), cfg);
+    let mut runner = MuxRunner::spawn(pif_fleet(n), cfg, DEFAULT_WORKERS);
     let payload = 7 + seed as u32;
     let request_step = runner.with_process_ctx(p(0), move |proc: &mut Proc, scribe| {
         let step = scribe.mark("request");
@@ -214,9 +214,9 @@ proptest! {
     }
 }
 
-/// Stress: a lossy jittered transport, one worker thread crashed mid-run
-/// and restarted — the snap-stabilizing service serves every request and
-/// the merged trace still satisfies mutual exclusion.
+/// Stress: a lossy jittered transport, one instance crashed mid-run and
+/// restarted — the snap-stabilizing service serves every request and the
+/// merged trace still satisfies mutual exclusion.
 #[test]
 fn lossy_crash_restart_stress_serves_everyone() {
     let n = 4;
@@ -229,7 +229,7 @@ fn lossy_crash_restart_stress_serves_everyone() {
         jitter: Some(Duration::from_micros(100)),
         ..LiveConfig::default()
     };
-    let mut runner = LiveRunner::spawn(processes, cfg);
+    let mut runner = MuxRunner::spawn(processes, cfg, DEFAULT_WORKERS);
 
     // First round of requests at every process.
     for i in 0..n {
@@ -238,8 +238,8 @@ fn lossy_crash_restart_stress_serves_everyone() {
             assert!(m.request_cs());
         });
     }
-    // Kill worker 2's thread mid-protocol; traffic keeps flowing among
-    // the others, its inbox backlogs against the capacity bound.
+    // Crash instance 2 mid-protocol; traffic keeps flowing among the
+    // others, its inbox backlogs against the capacity bound.
     runner.crash(p(2));
     std::thread::sleep(Duration::from_millis(30));
     runner.restart(p(2));
@@ -272,7 +272,7 @@ fn lossy_crash_restart_stress_serves_everyone() {
 /// still decides (losses on a fair-lossy link are semantically harmless).
 #[test]
 fn drop_on_full_is_live_and_harmless() {
-    let mut runner = LiveRunner::spawn(pif_fleet(3), LiveConfig::default());
+    let mut runner = MuxRunner::spawn(pif_fleet(3), LiveConfig::default(), DEFAULT_WORKERS);
     runner.with_process(p(0), |m: &mut Proc| assert!(m.request_broadcast(5)));
     assert!(runner.wait_until(
         p(0),

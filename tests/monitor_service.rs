@@ -27,7 +27,7 @@ use snapstab_repro::sim::{ProcessId, Trace, TraceEvent};
 
 const LOSS_TIERS: [f64; 3] = [0.0, 0.1, 0.3];
 
-/// Runs `app` monitored per `mon` on the thread backend over
+/// Runs `app` monitored per `mon` on the default pool over
 /// `transport`, under `plan` if given (an empty chaos report if not).
 fn monitored<A: MonitorApp>(
     app: A,

@@ -1,16 +1,16 @@
-//! Cross-backend conformance: the event-driven multiplexed runtime
-//! (`MuxRunner`, N protocol instances over a small worker pool) is
-//! equivalent to the thread-per-process backend (`LiveRunner`) under the
-//! executable specifications — the same seeded workload driven through
-//! both backends yields merged traces that the *same* Specification 3/4
-//! checkers accept, with matching service totals.
+//! Pool-shape conformance: the runtime (`MuxRunner`, N protocol
+//! instances over a small worker pool) behaves the same under the
+//! executable specifications whether one worker serializes every
+//! instance or two run them in parallel — the same seeded workload
+//! driven through both pool shapes yields merged traces that the *same*
+//! Specification 3/4 checkers accept, with matching service totals.
 //!
 //! On top of the pairwise proptests, this file holds the scale
-//! regressions the thread backend cannot reach — a seeded live PIF wave
-//! at n = 1024 judged by Specification 1, and an n = 256 mutex run
-//! judged by Specification 3 — and the chaos-on-mux sweep: seeded fault
-//! bursts against the mux backend healed with zero manual intervention,
-//! judged by the epoch-segmented Specification 3.
+//! regressions — a seeded live PIF wave at n = 1024 judged by
+//! Specification 1, and an n = 256 mutex run judged by Specification 3
+//! — and the chaos sweep: seeded fault bursts against the pool healed
+//! with zero manual intervention, judged by the epoch-segmented
+//! Specification 3.
 //!
 //! The scale tests calibrate first on a mid-size wave and skip with a
 //! warning when the box is too slow to finish inside the CI step's
@@ -25,9 +25,8 @@ use snapstab_repro::core::spec::{
     analyze_forwarding_trace, analyze_me_epochs, analyze_me_trace, check_pif_wave,
 };
 use snapstab_repro::runtime::{
-    run_mutex_service_chaos_mux_on, run_service, Backend, ChaosMix, ChaosPlan,
-    ForwardingServiceConfig, InMemory, LiveConfig, MutexServiceConfig, MuxRunner, RuntimeBackend,
-    ServiceApp, ServiceRun, TraceDetail,
+    run_mutex_service_chaos_mux_on, run_service, ChaosMix, ChaosPlan, ForwardingServiceConfig,
+    InMemory, LiveConfig, MutexServiceConfig, MuxRunner, ServiceApp, ServiceRun, TraceDetail,
 };
 use snapstab_repro::sim::ProcessId;
 
@@ -35,10 +34,10 @@ fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// `app` on `backend`, in memory.
-fn run_on<A: ServiceApp>(app: A, backend: Backend) -> A::Report {
+/// `app` on a `workers`-thread pool, in memory.
+fn run_on<A: ServiceApp>(app: A, workers: usize) -> A::Report {
     let run = ServiceRun {
-        backend,
+        workers,
         ..ServiceRun::default()
     };
     run_service(app, run).expect("in-memory").0
@@ -64,7 +63,7 @@ fn pif_fleet(n: usize) -> Vec<Proc> {
         .collect()
 }
 
-/// One seeded PIF wave on the mux backend; asserts Specification 1 on
+/// One seeded PIF wave on the pool; asserts Specification 1 on
 /// the merged trace and returns the wall-clock time to decision.
 fn mux_pif_wave(n: usize, workers: usize, loss: f64, seed: u64, timeout: Duration) -> Duration {
     let cfg = LiveConfig {
@@ -110,10 +109,11 @@ fn mux_pif_wave(n: usize, workers: usize, loss: f64, seed: u64, timeout: Duratio
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Property: the same seeded mutex workload driven through the
-    /// thread backend and the mux backend yields two merged traces the
-    /// same Specification 3 checker accepts, with identical service
-    /// totals — the backends are interchangeable under the spec.
+    /// Property: the same seeded mutex workload driven through a
+    /// one-worker pool (every interleaving serialized) and a two-worker
+    /// pool (instances in parallel) yields two merged traces the same
+    /// Specification 3 checker accepts, with identical service totals —
+    /// the pool shapes are interchangeable under the spec.
     #[test]
     fn mutex_backends_agree_under_spec3(
         seed in any::<u64>(),
@@ -134,34 +134,34 @@ proptest! {
         };
         let total = 2 * n as u64;
 
-        let threads = run_on(&cfg, Backend::Threads);
-        let mux = run_on(&cfg, Backend::Mux { workers: 2 });
-        prop_assert_eq!(threads.served, total, "threads backend serves all");
-        prop_assert_eq!(mux.served, total, "mux backend serves all");
-        prop_assert_eq!(threads.injected, mux.injected, "same workload injected");
+        let one = run_on(&cfg, 1);
+        let two = run_on(&cfg, 2);
+        prop_assert_eq!(one.served, total, "one worker serves all");
+        prop_assert_eq!(two.served, total, "two workers serve all");
+        prop_assert_eq!(one.injected, two.injected, "same workload injected");
 
-        for (backend, report) in [("threads", &threads), ("mux", &mux)] {
+        for (pool, report) in [("1 worker", &one), ("2 workers", &two)] {
             let trace = report.trace.as_ref().expect("recording on");
             let me = analyze_me_trace(trace, n);
             prop_assert!(
                 me.exclusivity_holds(),
-                "{} genuine CS overlap: {:?}", backend, me.genuine_overlaps
+                "{} genuine CS overlap: {:?}", pool, me.genuine_overlaps
             );
-            prop_assert!(me.all_served(), "{} unserved: {:?}", backend, me.unserved);
-            prop_assert_eq!(me.served.len(), total as usize, "{} served set", backend);
-            // Link-counter sanity holds identically on both backends:
+            prop_assert!(me.all_served(), "{} unserved: {:?}", pool, me.unserved);
+            prop_assert_eq!(me.served.len(), total as usize, "{} served set", pool);
+            // Link-counter sanity holds identically on both pool shapes:
             // nothing delivered that was never enqueued, nothing
             // enqueued that was never sent.
             let links = &report.stats.links;
-            prop_assert!(links.sends >= links.enqueued, "{} sends", backend);
-            prop_assert!(links.enqueued >= links.delivered, "{} enqueued", backend);
-            prop_assert!(links.delivered > 0, "{} delivered nothing", backend);
+            prop_assert!(links.sends >= links.enqueued, "{} sends", pool);
+            prop_assert!(links.enqueued >= links.delivered, "{} enqueued", pool);
+            prop_assert!(links.delivered > 0, "{} delivered nothing", pool);
         }
     }
 
     /// Property: the forwarding service — adversarially stale-pre-filled
     /// buffers, arbitrary seed and loss tier — delivers every payload on
-    /// both backends and both merged traces pass Specification 4.
+    /// both pool shapes and both merged traces pass Specification 4.
     #[test]
     fn forwarding_backends_agree_under_spec4(
         seed in any::<u64>(),
@@ -183,18 +183,18 @@ proptest! {
         };
         let total = 2 * n as u64;
 
-        let threads = run_on(&cfg, Backend::Threads);
-        let mux = run_on(&cfg, Backend::Mux { workers: 2 });
-        prop_assert_eq!(threads.delivered, total, "threads backend delivers all");
-        prop_assert_eq!(mux.delivered, total, "mux backend delivers all");
+        let one = run_on(&cfg, 1);
+        let two = run_on(&cfg, 2);
+        prop_assert_eq!(one.delivered, total, "one worker delivers all");
+        prop_assert_eq!(two.delivered, total, "two workers deliver all");
 
-        for (backend, report) in [("threads", &threads), ("mux", &mux)] {
+        for (pool, report) in [("1 worker", &one), ("2 workers", &two)] {
             let trace = report.trace.as_ref().expect("recording on");
             let spec = analyze_forwarding_trace(trace, n);
             prop_assert!(
                 spec.holds(),
                 "{} Spec 4 failed: lost {:?}, duplicates {:?}, corrupt {:?}, spurious {}",
-                backend, spec.lost, spec.duplicate_ids, spec.corrupt_deliveries, spec.spurious
+                pool, spec.lost, spec.duplicate_ids, spec.corrupt_deliveries, spec.spurious
             );
         }
     }
@@ -217,9 +217,9 @@ fn calibrate(test: &str) -> Option<Duration> {
     Some(calib)
 }
 
-/// The scale regression the thread backend cannot reach: a seeded live
-/// PIF wave across 1024 protocol instances on a 4-worker pool, judged by
-/// the *unchanged* Specification 1 checker on the merged trace.
+/// The scale regression: a seeded live PIF wave across 1024 protocol
+/// instances on a 4-worker pool, judged by the *unchanged*
+/// Specification 1 checker on the merged trace.
 #[test]
 fn mux_pif_wave_at_n_1024_passes_spec1() {
     if calibrate("mux_pif_wave_at_n_1024_passes_spec1").is_none() {
@@ -229,7 +229,7 @@ fn mux_pif_wave_at_n_1024_passes_spec1() {
     eprintln!("n=1024 mux PIF wave decided in {wall:?}");
 }
 
-/// One mutex service run on the mux backend with a *spec-detail* trace
+/// One mutex service run on the pool with a *spec-detail* trace
 /// (markers and spec-relevant protocol events only — all Specification
 /// 3 reads, and the only recording mode whose trace stays proportional
 /// to protocol decisions rather than the leader's continuous wave
@@ -254,7 +254,7 @@ fn mux_mutex_spec3_run(n: usize, budget: Duration) -> Option<Duration> {
         },
         time_budget: budget,
     };
-    let report = run_on(&cfg, Backend::Mux { workers: 4 });
+    let report = run_on(&cfg, 4);
     let trace = report.trace.as_ref().expect("recording on");
     let me = analyze_me_trace(trace, n);
     assert!(
@@ -278,8 +278,8 @@ fn mux_mutex_spec3_run(n: usize, budget: Duration) -> Option<Duration> {
     Some(report.wall)
 }
 
-/// A 256-instance mutex service run on the mux backend — four times past
-/// the thread backend's practical ceiling — judged by Specification 3.
+/// A 256-instance mutex service run on the pool judged by
+/// Specification 3.
 /// The n = 64 stage is a full Specification 3 check in its own right
 /// and doubles as the provisioning probe: a box (or an unoptimized
 /// debug build) the probe already saturates skips the n = 256 stage
@@ -307,7 +307,7 @@ fn mux_mutex_service_at_n_256_passes_spec3() {
     }
 }
 
-/// Chaos on the mux backend: seeded `all`-mix fault bursts — state
+/// Chaos on the pool: seeded `all`-mix fault bursts — state
 /// corruption of *instances* (not threads), crash storms healed by the
 /// supervisor's per-instance activity watchdog, partitions, drop
 /// storms — against a running mux service, judged per epoch by

@@ -22,7 +22,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use snapstab_repro::core::shard::{project_shard_trace, run_sim_sharded_service, SimShardedConfig};
 use snapstab_repro::core::spec::analyze_me_trace;
-use snapstab_repro::runtime::{run_service, Backend, LiveConfig, ServiceRun, ShardedServiceConfig};
+use snapstab_repro::runtime::{run_service, LiveConfig, ServiceRun, ShardedServiceConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
@@ -165,10 +165,10 @@ fn hot_key_serializes_and_leaders_are_spread() {
     }
 }
 
-/// The sharded service on the mux backend: the per-shard capacity lanes
-/// reach `Transport::connect` on the same path as on the thread backend,
-/// so the composition needs nothing special — the grant audit and each
-/// shard's Specification 3 hold as they do on threads.
+/// The sharded service on a one-worker pool, every instance stepped in
+/// turn: the per-shard capacity lanes reach `Transport::connect` on the
+/// same path as on a parallel pool, so the composition needs nothing
+/// special — the grant audit and each shard's Specification 3 hold.
 #[test]
 fn sharded_service_on_mux_audits_and_passes_per_shard_spec3() {
     let n = 4;
@@ -187,7 +187,7 @@ fn sharded_service_on_mux_audits_and_passes_per_shard_spec3() {
         time_budget: Duration::from_secs(40),
     };
     let run = ServiceRun {
-        backend: Backend::Mux { workers: 2 },
+        workers: 1,
         ..ServiceRun::default()
     };
     let (report, _) = run_service(&cfg, run).expect("in-memory");

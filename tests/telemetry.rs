@@ -12,9 +12,9 @@ use std::time::Duration;
 
 use snapstab_repro::core::spec::{analyze_me_epochs, analyze_snapshot_trace};
 use snapstab_repro::runtime::{
-    alert_marks, project_service_trace, run_service, AlertConfig, AlertKind, Backend, ChaosMix,
-    ChaosPlan, ChaosReport, LiveConfig, MonitorConfig, MonitoredMutexReport, Monitoring,
-    MutexServiceConfig, Series, ServiceRun,
+    alert_marks, project_service_trace, run_service, AlertConfig, AlertKind, ChaosMix, ChaosPlan,
+    ChaosReport, LiveConfig, MonitorConfig, MonitoredMutexReport, Monitoring, MutexServiceConfig,
+    Series, ServiceRun,
 };
 
 const LOSS_TIERS: [f64; 3] = [0.0, 0.1, 0.3];
@@ -28,7 +28,7 @@ fn monitored_mux(
     plan: Option<&ChaosPlan>,
 ) -> (MonitoredMutexReport, ChaosReport) {
     let run = ServiceRun {
-        backend: Backend::Mux { workers: WORKERS },
+        workers: WORKERS,
         chaos: plan,
         ..ServiceRun::default()
     };

@@ -20,8 +20,8 @@ use snapstab_repro::core::spec::{analyze_me_trace, check_pif_wave};
 use snapstab_repro::net::wire::{encode_datagram, Header};
 use snapstab_repro::net::{udp_available, UdpLoopback};
 use snapstab_repro::runtime::{
-    run_service, Link, LiveConfig, LiveRunner, MutexServiceConfig, RuntimeBackend, ServiceRun,
-    ShardedServiceConfig, Transport,
+    run_service, Link, LiveConfig, MutexServiceConfig, MuxRunner, ServiceRun, ShardedServiceConfig,
+    Transport, DEFAULT_WORKERS,
 };
 use snapstab_repro::sim::ProcessId;
 
@@ -78,8 +78,15 @@ fn udp_pif_wave_holds(n: usize, loss: f64, seed: u64) {
     };
     let transport = UdpLoopback::new();
     let drivers = (0..n).map(|_| None).collect();
-    let mut runner = LiveRunner::spawn_with_transport(pif_fleet(n), drivers, cfg, &transport, None)
-        .expect("bind loopback sockets");
+    let mut runner = MuxRunner::spawn_with_transport(
+        pif_fleet(n),
+        drivers,
+        cfg,
+        DEFAULT_WORKERS,
+        &transport,
+        None,
+    )
+    .expect("bind loopback sockets");
     let payload = 7 + seed as u32;
     let request_step = runner.with_process_ctx(p(0), move |proc: &mut Proc, scribe| {
         let step = scribe.mark("request");
@@ -161,7 +168,7 @@ fn udp_mutex_service_trace_satisfies_spec3() {
 }
 
 /// A lossy mutex-service run over UDP still serves everything: the
-/// worker retransmission backoff pushes requests through both the
+/// runtime's periodic sweep paces retransmissions through both the
 /// injected loss and any real datagram loss.
 #[test]
 fn udp_lossy_mutex_service_still_serves() {
