@@ -783,6 +783,15 @@ impl Protocol for ForwardProcess {
             }
         }
     }
+
+    /// Specification 4 reads injections and deliveries only; relay hops,
+    /// transfers and stale-entry drops are per-hop traffic.
+    fn event_is_spec_relevant(event: &ForwardEvent) -> bool {
+        matches!(
+            event,
+            ForwardEvent::Injected { .. } | ForwardEvent::Delivered { .. }
+        )
+    }
 }
 
 /// The deterministic client workload both forwarding substrates share:

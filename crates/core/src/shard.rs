@@ -270,6 +270,12 @@ impl Protocol for ShardedMe {
             proc.restore(s);
         }
     }
+
+    /// [`MeProcess`]'s rule on the untagged event: per-shard
+    /// Specification 3 reads no PIF wave event.
+    fn event_is_spec_relevant(event: &ShardedMeEvent) -> bool {
+        MeProcess::event_is_spec_relevant(&event.event)
+    }
 }
 
 /// One batched critical-section grant: shard `shard` granted its CS to

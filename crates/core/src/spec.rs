@@ -1,12 +1,13 @@
-//! Executable specifications: trace predicates for Specifications 1–4 and
+//! Executable specifications: trace predicates for Specifications 1–5 and
 //! Property 1.
 //!
 //! The paper defines a specification as "a predicate defined on the
 //! executions"; snap-stabilization (Definition 1) demands that *every*
 //! execution from *every* initial configuration satisfies it. This module
 //! turns each specification into a checkable verdict over the typed traces
-//! produced by `snapstab-sim`, so the experiment harness can evaluate
-//! thousands of corrupted-start executions mechanically.
+//! produced by `snapstab-sim` and the live runtime, so the experiment
+//! harness can evaluate thousands of corrupted-start executions
+//! mechanically.
 //!
 //! Specifications 1–3 are the paper's own (PIF, IDs-Learning, mutual
 //! exclusion). **Specification 4** is this repo's executable rendering of
@@ -15,16 +16,63 @@
 //! after the protocol starts is delivered to its destination exactly
 //! once — no duplication, no loss of accepted payloads — even when the
 //! initial buffers were adversarially pre-filled with stale entries.
+//! **Specification 5** judges the monitoring cuts of a live run.
+//!
+//! # One walk
+//!
+//! Every trace analyzer reads the trace once. It takes the trace's
+//! markers and protocol events in *step order* — a stable sort by
+//! `(step, markers first)` — and walks that view once, with its
+//! per-process state in vectors indexed by process. Markers going first
+//! is the tie rule every Specification 3 verdict has been pinned under.
+//! A live marker draws a step of its own, so the rule only decides
+//! simulator traces, where `Runner::mark` stamps a marker with the step
+//! of the move just executed: a `request` marked there is judged before
+//! that move's events. The stable sort also orders crafted traces that
+//! are not globally chronological, and keeps the trace order of entries
+//! that share a step and a kind. An entry naming a process outside
+//! `0..n` never touches the per-process state.
+//!
+//! The epoch analyzers ([`analyze_me_epochs`],
+//! [`analyze_forwarding_epochs`]) walk the same view with a cursor over
+//! the sorted fault steps: the first entry whose step reaches the next
+//! fault closes the current epoch and opens the next one. Forged fault
+//! marks are collected in the same walk. [`analyze_me_trace`] and
+//! [`analyze_forwarding_trace`] are that walk with no faults.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::mem::take;
 
-use snapstab_sim::{Message, Network, ProcessId, Trace};
+use snapstab_sim::{Message, Network, ProcessId, Trace, TraceEvent};
 
 use crate::forward::{ForwardEvent, Payload};
 use crate::idl::IdlCore;
 use crate::me::MeEvent;
 use crate::pif::{PifEvent, PifMsg};
 use crate::probe::{MonitorEvent, MonitorEventView, ProbeDigest};
+
+/// One entry of the step-ordered view: a marker or a protocol event,
+/// with the process it names.
+enum Seen<'a, E> {
+    Marker(ProcessId, &'a str),
+    Event(ProcessId, &'a E),
+}
+
+/// The markers and protocol events of `trace` in step order, markers
+/// first within a step (see the module doc); every other entry kind is
+/// left out.
+fn step_ordered<M, E>(trace: &Trace<M, E>) -> Vec<(u64, Seen<'_, E>)> {
+    let mut view: Vec<(u64, Seen<'_, E>)> = trace
+        .iter()
+        .filter_map(|te| match &te.event {
+            TraceEvent::Marker { p, label } => Some((te.step, Seen::Marker(*p, label.as_str()))),
+            TraceEvent::Protocol { p, event } => Some((te.step, Seen::Event(*p, event))),
+            _ => None,
+        })
+        .collect();
+    view.sort_by_key(|(step, seen)| (*step, matches!(seen, Seen::Event(..))));
+    view
+}
 
 /// Verdict of the Specification 1 (PIF-Execution) checker for one
 /// requested wave.
@@ -73,6 +121,11 @@ impl PifVerdict {
 ///
 /// `expected_b` is the broadcast data of the requested wave and
 /// `expected_f(q)` the feedback process `q` is expected to produce.
+///
+/// The wave starts at the initiator's first `Started` at or after
+/// `request_step` and decides at its first `Decided` after that; the
+/// correctness checks read the `receive-brd` and `receive-fck` events
+/// stamped inside `(start, decision]`. The walk stops past the decision.
 pub fn check_pif_wave<M, E, B, F>(
     trace: &Trace<M, E>,
     initiator: ProcessId,
@@ -88,77 +141,63 @@ where
     B: Clone + std::fmt::Debug + PartialEq,
     F: Clone + std::fmt::Debug + PartialEq,
 {
-    // Start: first A1 at the initiator at or after the request.
-    let start_step = trace
-        .protocol_events_of(initiator)
-        .filter(|(s, _)| *s >= request_step)
-        .find(|(_, e)| matches!(as_pif(e), Some(PifEvent::Started)))
-        .map(|(s, _)| s);
+    let mut start_step = None;
+    let mut decision_step = None;
+    // Per process: a receive-brd of the requested data from the
+    // initiator inside (start, decision].
+    let mut brd = BTreeSet::new();
+    // receive-fck events at the initiator inside (start, decision].
+    let mut fcks: Vec<(ProcessId, F)> = Vec::new();
+    for (step, seen) in step_ordered(trace) {
+        let Seen::Event(q, e) = seen else { continue };
+        if decision_step.is_some_and(|d| step > d) {
+            break;
+        }
+        let Some(start) = start_step else {
+            if q == initiator && step >= request_step {
+                if let Some(PifEvent::Started) = as_pif(e) {
+                    start_step = Some(step);
+                }
+            }
+            continue;
+        };
+        if step <= start {
+            continue;
+        }
+        match as_pif(e) {
+            Some(PifEvent::ReceiveBrd { from, data })
+                if *from == initiator && data == expected_b =>
+            {
+                brd.insert(q.index());
+            }
+            Some(PifEvent::ReceiveFck { from, data }) if q == initiator => {
+                fcks.push((*from, data.clone()));
+            }
+            Some(PifEvent::Decided) if q == initiator => decision_step = Some(step),
+            _ => {}
+        }
+    }
 
-    let mut verdict = PifVerdict {
+    // The correctness checks judge decided waves only.
+    let decided = decision_step.is_some();
+    let others = || (0..n).filter(|&i| i != initiator.index());
+    let broadcasts_received = decided && others().all(|i| brd.contains(&i));
+    let feedbacks_received = decided
+        && others().all(|i| {
+            let q = ProcessId::new(i);
+            let want = expected_f(q);
+            fcks.iter().any(|(from, data)| *from == q && *data == want)
+        });
+    let froms: BTreeSet<usize> = fcks.iter().map(|(from, _)| from.index()).collect();
+    PifVerdict {
         started: start_step.is_some(),
-        decided: false,
-        broadcasts_received: false,
-        feedbacks_received: false,
-        decision_exact: false,
+        decided,
+        broadcasts_received,
+        feedbacks_received,
+        decision_exact: feedbacks_received && fcks.len() == n - 1 && froms.len() == n - 1,
         start_step,
-        decision_step: None,
-    };
-    let Some(start) = start_step else {
-        return verdict;
-    };
-
-    // Termination/Decision step: first Decided after the start.
-    let decision_step = trace
-        .protocol_events_of(initiator)
-        .filter(|(s, _)| *s > start)
-        .find(|(_, e)| matches!(as_pif(e), Some(PifEvent::Decided)))
-        .map(|(s, _)| s);
-    verdict.decided = decision_step.is_some();
-    verdict.decision_step = decision_step;
-    let Some(decision) = decision_step else {
-        return verdict;
-    };
-
-    // Correctness, broadcast half: every q ≠ initiator saw receive-brd with
-    // the requested data inside (start, decision].
-    verdict.broadcasts_received = (0..n).filter(|&i| i != initiator.index()).all(|i| {
-        trace
-            .protocol_events_of(ProcessId::new(i))
-            .filter(|(s, _)| *s > start && *s <= decision)
-            .any(|(_, e)| {
-                matches!(
-                    as_pif(e),
-                    Some(PifEvent::ReceiveBrd { from, data })
-                        if *from == initiator && data == expected_b
-                )
-            })
-    });
-
-    // Correctness, feedback half + Decision exactness: receive-fck events
-    // at the initiator inside (start, decision].
-    let fcks: Vec<(ProcessId, F)> = trace
-        .protocol_events_of(initiator)
-        .filter(|(s, _)| *s > start && *s <= decision)
-        .filter_map(|(_, e)| match as_pif(e) {
-            Some(PifEvent::ReceiveFck { from, data }) => Some((*from, data.clone())),
-            _ => None,
-        })
-        .collect();
-
-    verdict.feedbacks_received = (0..n).filter(|&i| i != initiator.index()).all(|i| {
-        let q = ProcessId::new(i);
-        let want = expected_f(q);
-        fcks.iter().any(|(from, data)| *from == q && *data == want)
-    });
-
-    let mut froms: Vec<usize> = fcks.iter().map(|(from, _)| from.index()).collect();
-    froms.sort_unstable();
-    froms.dedup();
-    verdict.decision_exact =
-        fcks.len() == n - 1 && froms.len() == n - 1 && verdict.feedbacks_received;
-
-    verdict
+        decision_step,
+    }
 }
 
 /// Convenience wrapper of [`check_pif_wave`] for traces of the standalone
@@ -251,7 +290,7 @@ impl CsInterval {
 /// Report of the Specification 3 (ME-Execution) analysis of a trace.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MeReport {
-    /// Every CS interval, chronological by entry.
+    /// Every CS interval, chronological by entry (ties by process id).
     pub intervals: Vec<CsInterval>,
     /// Pairs of *genuine* intervals that overlap — Correctness violations
     /// (must be empty for a snap-stabilizing protocol).
@@ -283,110 +322,150 @@ impl MeReport {
     }
 }
 
+/// A specification's state in the one walk, cut into fault epochs by
+/// [`walk_epochs`].
+trait EpochJudge<E> {
+    /// One epoch's verdict.
+    type Epoch;
+    /// Reads the next entry of the current epoch.
+    fn see(&mut self, step: u64, seen: Seen<'_, E>);
+    /// Ends the epoch that opened at step `start` and returns its
+    /// verdict; `last` is false when a fault closed it. The next entry
+    /// opens a fresh epoch.
+    fn close(&mut self, start: u64, last: bool) -> Self::Epoch;
+}
+
+/// Walks the step-ordered view of `trace` once with a cursor over the
+/// sorted, deduplicated fault steps. The first entry whose step reaches
+/// the next fault closes the current epoch, so the fault mark itself and
+/// everything stamped after it are judged in the new epoch. Returns the
+/// verdicts of all `faults.len() + 1` epochs and the forged fault marks,
+/// sorted by step and process.
+fn walk_epochs<M, E, J: EpochJudge<E>>(
+    trace: &Trace<M, E>,
+    faults: &[u64],
+    judge: &mut J,
+) -> (Vec<J::Epoch>, Vec<ForgedMark>) {
+    let mut epochs = Vec::with_capacity(faults.len() + 1);
+    let mut forged = Vec::new();
+    let mut start = 0;
+    for (step, seen) in step_ordered(trace) {
+        while let Some(&fault) = faults.get(epochs.len()).filter(|&&f| f <= step) {
+            epochs.push(judge.close(start, false));
+            start = fault;
+        }
+        forged.extend(forged_mark(step, &seen, faults));
+        judge.see(step, seen);
+    }
+    for &fault in &faults[epochs.len()..] {
+        epochs.push(judge.close(start, false));
+        start = fault;
+    }
+    epochs.push(judge.close(start, true));
+    forged.sort_by_key(|(q, step, _)| (*step, q.index()));
+    (epochs, forged)
+}
+
+/// Spec 3's state of one process while an epoch is walked.
+#[derive(Clone, Copy, Default)]
+struct MeProc {
+    /// Step of the latest `request` marker not yet served.
+    pending: Option<u64>,
+    /// A `Started` followed that request.
+    started_genuine: bool,
+    /// A CS entered and not yet exited, its exit still at its entry.
+    open: Option<CsInterval>,
+}
+
+/// Specification 3 in the one walk.
+struct MeJudge {
+    procs: Vec<MeProc>,
+    report: MeReport,
+}
+
+impl EpochJudge<MeEvent> for MeJudge {
+    type Epoch = MeEpochVerdict;
+
+    fn see(&mut self, step: u64, seen: Seen<'_, MeEvent>) {
+        let (Seen::Marker(p, "request") | Seen::Event(p, _)) = seen else {
+            return;
+        };
+        let Some(st) = self.procs.get_mut(p.index()) else {
+            return;
+        };
+        match seen {
+            Seen::Marker(..) => {
+                st.pending = Some(step);
+                st.started_genuine = false;
+            }
+            Seen::Event(_, MeEvent::Started) => st.started_genuine |= st.pending.is_some(),
+            Seen::Event(_, MeEvent::CsEnter) => {
+                st.open = Some(CsInterval {
+                    p,
+                    enter: step,
+                    exit: step,
+                    genuine: st.started_genuine,
+                });
+            }
+            Seen::Event(_, MeEvent::CsExit) => {
+                if let Some(iv) = st.open.take() {
+                    self.report.intervals.push(CsInterval { exit: step, ..iv });
+                }
+            }
+            Seen::Event(_, MeEvent::Served) => {
+                if let Some(req) = st.pending.take() {
+                    self.report.served.push((p, req, step));
+                }
+                st.started_genuine = false;
+            }
+            Seen::Event(_, MeEvent::Pif(_)) => {}
+        }
+    }
+
+    fn close(&mut self, start: u64, last: bool) -> MeEpochVerdict {
+        let mut r = take(&mut self.report);
+        for (i, st) in self.procs.iter_mut().enumerate() {
+            let st = take(st);
+            // The epoch ended mid-CS: the interval closes at its entry.
+            r.intervals.extend(st.open);
+            r.unserved
+                .extend(st.pending.map(|req| (ProcessId::new(i), req)));
+        }
+        // The walk interleaves processes; the report lists them by id.
+        r.served.sort_by_key(|(p, ..)| p.index());
+        r.intervals.sort_by_key(|iv| (iv.enter, iv.p.index()));
+        // Sorted by entry, so the first interval entering after `a`
+        // exits ends `a`'s overlap candidates.
+        for (i, a) in r.intervals.iter().enumerate() {
+            for b in r.intervals[i + 1..]
+                .iter()
+                .take_while(|b| b.enter <= a.exit)
+            {
+                if a.p != b.p && a.overlaps(b) {
+                    if a.genuine && b.genuine {
+                        r.genuine_overlaps.push((*a, *b));
+                    } else {
+                        r.spurious_overlaps.push((*a, *b));
+                    }
+                }
+            }
+        }
+        let interrupted = if last { vec![] } else { take(&mut r.unserved) };
+        MeEpochVerdict {
+            start,
+            report: r,
+            interrupted,
+        }
+    }
+}
+
 /// Analyzes a mutual-exclusion trace for Specification 3: extracts CS
 /// intervals, classifies them genuine/spurious, finds overlaps and service
 /// latencies. Requests are recognized by `request` markers
 /// ([`snapstab_sim::Runner::mark`] with label `"request"`).
 pub fn analyze_me_trace<M: Message>(trace: &Trace<M, MeEvent>, n: usize) -> MeReport {
-    let mut report = MeReport::default();
-
-    for i in 0..n {
-        let p = ProcessId::new(i);
-        // Merge markers and protocol events for this process, by step (the
-        // trace is chronological; markers and events interleave correctly
-        // because both are pushed in order).
-        #[derive(Debug)]
-        enum Obs {
-            Request(u64),
-            Started,
-            CsEnter(u64),
-            CsExit(u64),
-            Served(u64),
-        }
-        let mut obs: Vec<(u64, Obs)> = Vec::new();
-        for (step, q, label) in trace.markers() {
-            if q == p && label == "request" {
-                obs.push((step, Obs::Request(step)));
-            }
-        }
-        for (step, e) in trace.protocol_events_of(p) {
-            match e {
-                MeEvent::Started => obs.push((step, Obs::Started)),
-                MeEvent::CsEnter => obs.push((step, Obs::CsEnter(step))),
-                MeEvent::CsExit => obs.push((step, Obs::CsExit(step))),
-                MeEvent::Served => obs.push((step, Obs::Served(step))),
-                MeEvent::Pif(_) => {}
-            }
-        }
-        obs.sort_by_key(|(step, o)| {
-            // Markers sort before events at the same step: a request marker
-            // recorded "between steps" precedes the next step's events.
-            (*step, !matches!(o, Obs::Request(_)) as u8)
-        });
-
-        let mut pending_request: Option<u64> = None;
-        let mut started_genuine = false;
-        let mut open_enter: Option<(u64, bool)> = None;
-        for (_, o) in obs {
-            match o {
-                Obs::Request(step) => {
-                    pending_request = Some(step);
-                    started_genuine = false;
-                }
-                Obs::Started => {
-                    if pending_request.is_some() {
-                        started_genuine = true;
-                    }
-                }
-                Obs::CsEnter(step) => {
-                    open_enter = Some((step, started_genuine));
-                }
-                Obs::CsExit(step) => {
-                    if let Some((enter, genuine)) = open_enter.take() {
-                        report.intervals.push(CsInterval {
-                            p,
-                            enter,
-                            exit: step,
-                            genuine,
-                        });
-                    }
-                }
-                Obs::Served(step) => {
-                    if let Some(req) = pending_request.take() {
-                        report.served.push((p, req, step));
-                    }
-                    started_genuine = false;
-                }
-            }
-        }
-        // Trace ended mid-CS: close the interval at its entry step.
-        if let Some((enter, genuine)) = open_enter {
-            report.intervals.push(CsInterval {
-                p,
-                enter,
-                exit: enter,
-                genuine,
-            });
-        }
-        if let Some(req) = pending_request {
-            report.unserved.push((p, req));
-        }
-    }
-
-    report.intervals.sort_by_key(|iv| iv.enter);
-    for i in 0..report.intervals.len() {
-        for j in i + 1..report.intervals.len() {
-            let (a, b) = (report.intervals[i], report.intervals[j]);
-            if a.p != b.p && a.overlaps(&b) {
-                if a.genuine && b.genuine {
-                    report.genuine_overlaps.push((a, b));
-                } else {
-                    report.spurious_overlaps.push((a, b));
-                }
-            }
-        }
-    }
-    report
+    let mut report = analyze_me_epochs(trace, n, &[]);
+    report.epochs.pop().expect("one epoch").report
 }
 
 /// Report of the Specification 4 (Forwarding-Execution) analysis of a
@@ -451,6 +530,105 @@ impl ForwardingReport {
     }
 }
 
+/// Specification 4 in the one walk: collects one epoch's injections and
+/// deliveries, and across epochs the ids delivered after a fault that
+/// followed their injection.
+#[derive(Default)]
+struct ForwardJudge {
+    n: usize,
+    /// Index of the epoch being walked.
+    epoch: usize,
+    injected: Vec<(u64, Payload)>,
+    /// `(step, delivering process, payload)` of every delivery.
+    deliveries: Vec<(u64, ProcessId, Payload)>,
+    /// Epoch of each id's first injection.
+    inject_epoch: HashMap<u64, usize>,
+    crossing: BTreeSet<u64>,
+}
+
+impl EpochJudge<ForwardEvent> for ForwardJudge {
+    type Epoch = ForwardingEpochVerdict;
+
+    fn see(&mut self, step: u64, seen: Seen<'_, ForwardEvent>) {
+        match seen {
+            Seen::Event(_, ForwardEvent::Injected { payload }) => {
+                self.inject_epoch.entry(payload.id).or_insert(self.epoch);
+                self.injected.push((step, *payload));
+            }
+            Seen::Event(p, ForwardEvent::Delivered { payload, .. }) => {
+                let first = self.inject_epoch.get(&payload.id);
+                if first.is_some_and(|&k| k < self.epoch) {
+                    self.crossing.insert(payload.id);
+                }
+                self.deliveries.push((step, p, *payload));
+            }
+            _ => {}
+        }
+    }
+
+    fn close(&mut self, start: u64, last: bool) -> ForwardingEpochVerdict {
+        self.epoch += 1;
+        let mut r = ForwardingReport {
+            injected: take(&mut self.injected),
+            ..ForwardingReport::default()
+        };
+        // An injection naming endpoints outside the system is itself an
+        // integrity violation — `ForwardProcess::request_send` never
+        // admits one, so only a forged trace can contain it. Like every
+        // other checker in this module, the reaction is a failing
+        // verdict, never a panic.
+        r.corrupt_deliveries.extend(
+            r.injected
+                .iter()
+                .map(|&(_, m)| m)
+                .filter(|m| m.src as usize >= self.n || m.dst as usize >= self.n),
+        );
+        // Ordered maps, so every list below comes out sorted by id; the
+        // last injection of an id is the one judged.
+        let injected: BTreeMap<u64, (u64, Payload)> = r
+            .injected
+            .iter()
+            .map(|&(step, m)| (m.id, (step, m)))
+            .collect();
+        let mut per_id: BTreeMap<u64, Vec<(u64, ProcessId, Payload)>> = BTreeMap::new();
+        for d in self.deliveries.drain(..) {
+            per_id.entry(d.2.id).or_default().push(d);
+        }
+        for (id, ds) in &per_id {
+            let Some(&(step, m)) = injected.get(id) else {
+                r.spurious += ds.len();
+                if ds.len() > 1 {
+                    r.stale_duplicates.push(*id);
+                }
+                continue;
+            };
+            if ds.len() > 1 {
+                r.duplicate_ids.push(*id);
+            }
+            for &(del_step, at, got) in ds {
+                if at.index() == m.dst as usize && got == m && del_step > step {
+                    r.delivered.push((m, step, del_step));
+                } else {
+                    r.corrupt_deliveries.push(got);
+                }
+            }
+        }
+        r.lost = injected
+            .into_values()
+            .filter(|(_, m)| !per_id.contains_key(&m.id))
+            .map(|(_, m)| m)
+            .collect();
+        r.corrupt_deliveries
+            .sort_unstable_by_key(|m| (m.id, m.data, m.src, m.dst));
+        let interrupted = if last { vec![] } else { take(&mut r.lost) };
+        ForwardingEpochVerdict {
+            start,
+            report: r,
+            interrupted,
+        }
+    }
+}
+
 /// Analyzes a forwarding trace for Specification 4.
 ///
 /// Injections are recognized by [`ForwardEvent::Injected`] (the protocol
@@ -468,80 +646,13 @@ pub fn analyze_forwarding_trace<M: Message>(
     trace: &Trace<M, ForwardEvent>,
     n: usize,
 ) -> ForwardingReport {
-    let mut report = ForwardingReport::default();
-    // (step, delivering process, payload) of every delivery, in order.
-    let mut deliveries: Vec<(u64, ProcessId, Payload)> = Vec::new();
-    for (step, p, event) in trace.protocol_events() {
-        match event {
-            ForwardEvent::Injected { payload } => report.injected.push((step, *payload)),
-            ForwardEvent::Delivered { payload, .. } => deliveries.push((step, p, *payload)),
-            _ => {}
-        }
-    }
-    // An injection naming endpoints outside the system is itself an
-    // integrity violation — `ForwardProcess::request_send` never admits
-    // one, so only a forged trace can contain it. Like every other
-    // checker in this module, the reaction is a failing verdict, never
-    // a panic.
-    for (_, m) in &report.injected {
-        if (m.src as usize) >= n || (m.dst as usize) >= n {
-            report.corrupt_deliveries.push(*m);
-        }
-    }
-
-    let mut per_id: HashMap<u64, Vec<(u64, ProcessId, Payload)>> = HashMap::new();
-    for d in &deliveries {
-        per_id.entry(d.2.id).or_default().push(*d);
-    }
-
-    let mut injected_ids: HashMap<u64, (u64, Payload)> = HashMap::new();
-    for (step, m) in &report.injected {
-        injected_ids.insert(m.id, (*step, *m));
-    }
-    for (id, ds) in &per_id {
-        if ds.len() > 1 {
-            if injected_ids.contains_key(id) {
-                report.duplicate_ids.push(*id);
-            } else {
-                report.stale_duplicates.push(*id);
-            }
-        }
-    }
-    report.duplicate_ids.sort_unstable();
-    report.stale_duplicates.sort_unstable();
-    for (step, m) in injected_ids.values() {
-        match per_id.get(&m.id) {
-            None => report.lost.push(*m),
-            Some(ds) => {
-                for (del_step, at, got) in ds {
-                    let intact = at.index() == m.dst as usize && got == m && *del_step > *step;
-                    if intact {
-                        report.delivered.push((*m, *step, *del_step));
-                    } else {
-                        report.corrupt_deliveries.push(*got);
-                    }
-                }
-            }
-        }
-    }
-    report.lost.sort_unstable_by_key(|m| m.id);
-    report.delivered.sort_unstable_by_key(|(m, _, _)| m.id);
-    // Deterministic order despite the HashMap walks above, so reports
-    // on the same trace always compare equal.
-    report
-        .corrupt_deliveries
-        .sort_unstable_by_key(|m| (m.id, m.data, m.src, m.dst));
-    report.spurious = per_id
-        .iter()
-        .filter(|(id, _)| !injected_ids.contains_key(id))
-        .map(|(_, ds)| ds.len())
-        .sum();
-    report
+    let mut report = analyze_forwarding_epochs(trace, n, &[]);
+    report.epochs.pop().expect("one epoch").report
 }
 
 /// The marker-label prefix reserved for *authoritative* transient-fault
 /// injections (mid-run state corruption by the chaos engine or the
-/// supervisor's adversarial restarts). Epoch segmentation splits traces at
+/// supervisor's adversarial restarts). The epoch analyzers cut traces at
 /// these marks; any marker carrying this prefix at a step the harness did
 /// not vouch for is a *forged* fault mark and fails the epoch verdict —
 /// otherwise a buggy protocol could excuse its violations by planting
@@ -556,43 +667,20 @@ fn normalize_faults(faults: &[u64]) -> Vec<u64> {
     f
 }
 
-/// Markers carrying [`CHAOS_MARK_PREFIX`] at steps *not* in the
-/// authoritative fault list: forged fault marks.
-fn forged_chaos_marks<M, E>(trace: &Trace<M, E>, faults: &[u64]) -> Vec<(ProcessId, u64, String)> {
-    let mut forged: Vec<(ProcessId, u64, String)> = trace
-        .markers()
-        .filter(|(step, _, label)| {
-            label.starts_with(CHAOS_MARK_PREFIX) && faults.binary_search(step).is_err()
-        })
-        .map(|(step, q, label)| (q, step, label.to_string()))
-        .collect();
-    forged.sort_unstable_by_key(|(q, step, _)| (*step, q.index()));
-    forged
-}
+/// `(process, step, label)` of a forged fault mark.
+type ForgedMark = (ProcessId, u64, String);
 
-/// Splits a merged trace into *fault epochs* at the given authoritative
-/// fault steps (mid-run transient-fault injections): epoch `k` holds every
-/// entry whose step is at least the `k`-th fault step and below the next
-/// one. The fault mark itself opens its epoch, so everything *caused* by
-/// the corrupted state (stamped at later steps) is judged inside the new
-/// epoch. With no faults the whole trace is one epoch.
-///
-/// This is the executable rendering of the paper's footnote-1 semantics
-/// extended to faults landing mid-run: guarantees re-attach to every
-/// request started after the last transient fault, so each epoch is judged
-/// as a fresh snap-stabilizing run whose "arbitrary initial configuration"
-/// is whatever the fault left behind.
-pub fn split_at_faults<M: Clone, E: Clone>(
-    trace: &Trace<M, E>,
-    faults: &[u64],
-) -> Vec<Trace<M, E>> {
-    let faults = normalize_faults(faults);
-    let mut parts: Vec<Trace<M, E>> = (0..=faults.len()).map(|_| Trace::new()).collect();
-    for te in trace.iter() {
-        let k = faults.partition_point(|&f| f <= te.step);
-        parts[k].push(te.step, te.event.clone());
+/// A marker carrying [`CHAOS_MARK_PREFIX`] at a step *not* in the sorted
+/// authoritative fault list is a forged fault mark.
+fn forged_mark<E>(step: u64, seen: &Seen<'_, E>, faults: &[u64]) -> Option<ForgedMark> {
+    match *seen {
+        Seen::Marker(q, label)
+            if label.starts_with(CHAOS_MARK_PREFIX) && faults.binary_search(&step).is_err() =>
+        {
+            Some((q, step, label.to_string()))
+        }
+        _ => None,
     }
-    parts
 }
 
 /// One epoch's Specification 3 verdict — see [`analyze_me_epochs`].
@@ -600,7 +688,7 @@ pub fn split_at_faults<M: Clone, E: Clone>(
 pub struct MeEpochVerdict {
     /// First step of the epoch: 0, or the fault step that opened it.
     pub start: u64,
-    /// The plain Specification 3 report over this epoch's sub-trace.
+    /// The plain Specification 3 report over this epoch's entries.
     /// In non-final epochs its `unserved` list has been emptied into
     /// [`MeEpochVerdict::interrupted`].
     pub report: MeReport,
@@ -651,43 +739,34 @@ impl MeEpochReport {
     }
 }
 
-/// Epoch-segmented Specification 3: splits the trace at the authoritative
-/// fault steps ([`split_at_faults`]) and runs [`analyze_me_trace`] per
-/// epoch. Requests started after the last fault of an epoch must satisfy
-/// the specification exactly; requests in flight when a fault lands are
-/// reclassified from `unserved` to [`MeEpochVerdict::interrupted`]
-/// (classified, not excused — footnote 1 voids only *their* guarantee).
-/// A CS interval crossing a boundary is judged non-genuine in the new
-/// epoch (its request marker belongs to the old one), so it can never
-/// mask a post-fault exclusivity violation. Chaos-prefixed markers not in
-/// `faults` are collected as [`MeEpochReport::forged_marks`] and fail the
-/// verdict.
+/// Epoch-segmented Specification 3: cuts the trace into *fault epochs* at
+/// the authoritative fault steps and judges each epoch as
+/// [`analyze_me_trace`] would. Epoch `k` holds every entry whose step is
+/// at least the `k`-th fault step and below the next one; with no faults
+/// the whole trace is one epoch.
+///
+/// This is the executable rendering of the paper's footnote-1 semantics
+/// extended to faults landing mid-run: guarantees re-attach to every
+/// request started after the last transient fault, so each epoch is
+/// judged as a fresh snap-stabilizing run whose "arbitrary initial
+/// configuration" is whatever the fault left behind. Requests in flight
+/// when a fault lands are reclassified from `unserved` to
+/// [`MeEpochVerdict::interrupted`] (classified, not excused — footnote 1
+/// voids only *their* guarantee). A CS interval crossing a boundary is
+/// judged non-genuine in the new epoch (its request marker belongs to the
+/// old one), so it can never mask a post-fault exclusivity violation.
+/// Chaos-prefixed markers not in `faults` are collected as
+/// [`MeEpochReport::forged_marks`] and fail the verdict.
 pub fn analyze_me_epochs<M: Message>(
     trace: &Trace<M, MeEvent>,
     n: usize,
     faults: &[u64],
 ) -> MeEpochReport {
-    let faults = normalize_faults(faults);
-    let forged_marks = forged_chaos_marks(trace, &faults);
-    let parts = split_at_faults(trace, &faults);
-    let last = parts.len() - 1;
-    let epochs = parts
-        .iter()
-        .enumerate()
-        .map(|(k, part)| {
-            let mut report = analyze_me_trace(part, n);
-            let interrupted = if k < last {
-                std::mem::take(&mut report.unserved)
-            } else {
-                Vec::new()
-            };
-            MeEpochVerdict {
-                start: if k == 0 { 0 } else { faults[k - 1] },
-                report,
-                interrupted,
-            }
-        })
-        .collect();
+    let mut judge = MeJudge {
+        procs: vec![MeProc::default(); n],
+        report: MeReport::default(),
+    };
+    let (epochs, forged_marks) = walk_epochs(trace, &normalize_faults(faults), &mut judge);
     MeEpochReport {
         epochs,
         forged_marks,
@@ -700,7 +779,7 @@ pub fn analyze_me_epochs<M: Message>(
 pub struct ForwardingEpochVerdict {
     /// First step of the epoch: 0, or the fault step that opened it.
     pub start: u64,
-    /// The plain Specification 4 report over this epoch's sub-trace. In
+    /// The plain Specification 4 report over this epoch's entries. In
     /// non-final epochs its `lost` list has been emptied into
     /// [`ForwardingEpochVerdict::interrupted`].
     pub report: ForwardingReport,
@@ -755,12 +834,13 @@ impl ForwardingEpochReport {
     }
 }
 
-/// Epoch-segmented Specification 4: splits the trace at the authoritative
-/// fault steps and runs [`analyze_forwarding_trace`] per epoch. Payloads
-/// injected after the last fault of an epoch must be delivered exactly
-/// once within it; payloads in flight at a fault boundary are reclassified
-/// from `lost` to [`ForwardingEpochVerdict::interrupted`], and deliveries
-/// of pre-fault ids landing after the fault are classified in
+/// Epoch-segmented Specification 4: cuts the trace at the authoritative
+/// fault steps, as [`analyze_me_epochs`] does, and judges each epoch as
+/// [`analyze_forwarding_trace`] would. Payloads injected after the last
+/// fault of an epoch must be delivered exactly once within it; payloads
+/// in flight at a fault boundary are reclassified from `lost` to
+/// [`ForwardingEpochVerdict::interrupted`], and deliveries of pre-fault
+/// ids landing after the fault are classified in
 /// [`ForwardingEpochReport::crossing`]. Forged chaos marks fail the
 /// verdict.
 pub fn analyze_forwarding_epochs<M: Message>(
@@ -768,54 +848,15 @@ pub fn analyze_forwarding_epochs<M: Message>(
     n: usize,
     faults: &[u64],
 ) -> ForwardingEpochReport {
-    let faults = normalize_faults(faults);
-    let forged_marks = forged_chaos_marks(trace, &faults);
-    let parts = split_at_faults(trace, &faults);
-    let last = parts.len() - 1;
-
-    // Classify boundary-crossing ids from the whole trace: injection
-    // epoch per id, then any delivery of it in a strictly later epoch.
-    let epoch_of = |step: u64| faults.partition_point(|&f| f <= step);
-    let mut inject_epoch: HashMap<u64, usize> = HashMap::new();
-    for (step, _, event) in trace.protocol_events() {
-        if let ForwardEvent::Injected { payload } = event {
-            inject_epoch.entry(payload.id).or_insert(epoch_of(step));
-        }
-    }
-    let mut crossing: Vec<u64> = trace
-        .protocol_events()
-        .filter_map(|(step, _, event)| match event {
-            ForwardEvent::Delivered { payload, .. } => inject_epoch
-                .get(&payload.id)
-                .filter(|&&inj| epoch_of(step) > inj)
-                .map(|_| payload.id),
-            _ => None,
-        })
-        .collect();
-    crossing.sort_unstable();
-    crossing.dedup();
-
-    let epochs = parts
-        .iter()
-        .enumerate()
-        .map(|(k, part)| {
-            let mut report = analyze_forwarding_trace(part, n);
-            let interrupted = if k < last {
-                std::mem::take(&mut report.lost)
-            } else {
-                Vec::new()
-            };
-            ForwardingEpochVerdict {
-                start: if k == 0 { 0 } else { faults[k - 1] },
-                report,
-                interrupted,
-            }
-        })
-        .collect();
+    let mut judge = ForwardJudge {
+        n,
+        ..ForwardJudge::default()
+    };
+    let (epochs, forged_marks) = walk_epochs(trace, &normalize_faults(faults), &mut judge);
     ForwardingEpochReport {
         epochs,
         forged_marks,
-        crossing,
+        crossing: judge.crossing.into_iter().collect(),
     }
 }
 
@@ -994,6 +1035,18 @@ impl SnapshotReport {
     }
 }
 
+/// Spec 5's state of one process during the walk.
+#[derive(Clone, Default)]
+struct SnapshotProc {
+    /// `(crash, restart)` steps of its `"crash"`/`"restart"` marker
+    /// windows; an open window ends at `u64::MAX`.
+    crashes: Vec<(u64, u64)>,
+    /// Steps of its `"served"` markers, ascending.
+    serves: Vec<u64>,
+    /// Its open waves as an initiator: cut id → start step.
+    open_waves: BTreeMap<u64, u64>,
+}
+
 /// **Specification 5** (observability): judges the monitoring cuts a
 /// live run's merged trace contains. Works over any event type that
 /// embeds [`MonitorEvent`] via [`MonitorEventView`] — the runtime's
@@ -1027,109 +1080,108 @@ impl SnapshotReport {
 /// fault step are marked [`SnapshotCut::interrupted`] and exempted from
 /// checks 3–4 (footnote-1 semantics, exactly like the epoch checkers);
 /// forged chaos marks fail the verdict on the same trust rule.
+///
+/// Every check runs in the one walk, at the decision: markers go first
+/// within a step, so every `"served"` and `"restart"` marker stamped at
+/// or before the decision step has been read, and a crash still open
+/// then covers the rest of the wave.
 pub fn analyze_snapshot_trace<M, E>(trace: &Trace<M, E>, n: usize, faults: &[u64]) -> SnapshotReport
 where
     M: Message,
     E: MonitorEventView + Clone + std::fmt::Debug + PartialEq + 'static,
 {
     let faults = normalize_faults(faults);
-    let mut report = SnapshotReport {
-        forged_marks: forged_chaos_marks(trace, &faults),
-        ..SnapshotReport::default()
-    };
-
-    // Crash windows and serve counters per process, from the runtime's
-    // standard markers ("crash"/"restart" from the harness, "served"
-    // from the service drivers).
-    let mut crash_windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    let mut open_crash: Vec<Option<u64>> = vec![None; n];
-    let mut serves: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for (step, q, label) in trace.markers() {
-        if q.index() >= n {
-            continue;
-        }
-        match label {
-            "crash" if open_crash[q.index()].is_none() => {
-                open_crash[q.index()] = Some(step);
-            }
-            "restart" => {
-                if let Some(c) = open_crash[q.index()].take() {
-                    crash_windows[q.index()].push((c, step));
-                }
-            }
-            "served" => serves[q.index()].push(step),
-            _ => {}
-        }
-    }
-    for (i, c) in open_crash.into_iter().enumerate() {
-        if let Some(c) = c {
-            crash_windows[i].push((c, u64::MAX));
-        }
-    }
-    for s in &mut serves {
-        s.sort_unstable();
-    }
-
-    for i in 0..n {
-        let p = ProcessId::new(i);
-        // Open waves at this initiator: cut id → start step.
-        let mut open: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for (step, e) in trace.protocol_events_of(p) {
-            let Some(me) = e.as_monitor() else { continue };
-            match me {
-                MonitorEvent::CutStarted { cut } => {
-                    open.insert(*cut, step);
-                }
-                MonitorEvent::CutRefused { cut } => {
-                    open.remove(cut);
-                    report.refused.push((p, *cut));
-                }
-                MonitorEvent::CutDecided { cut, values } => {
-                    let Some(started) = open.remove(cut) else {
-                        report.fabricated.push((p, *cut));
-                        continue;
-                    };
-                    let interrupted = faults.iter().any(|f| (started..=step).contains(f));
-                    let well_formed = values.len() == n
-                        && values.iter().enumerate().all(|(j, v)| v.proc as usize == j);
-                    if !well_formed {
-                        report.torn.push((p, *cut));
-                    }
-                    if well_formed && !interrupted {
-                        for (j, v) in values.iter().enumerate() {
-                            let q = ProcessId::new(j);
-                            if crash_windows[j]
-                                .iter()
-                                .any(|&(c, r)| c <= started && step <= r)
-                            {
-                                report.crashed_values.push((p, *cut, q));
-                                continue;
-                            }
-                            let lo = serves[j].partition_point(|&s| s < started) as u64;
-                            let hi = serves[j].partition_point(|&s| s <= step) as u64;
-                            if v.served < lo || v.served > hi {
-                                report.causal_violations.push((p, *cut, q));
-                            }
+    let mut report = SnapshotReport::default();
+    let mut procs = vec![SnapshotProc::default(); n];
+    let mut forged = Vec::new();
+    for (step, seen) in step_ordered(trace) {
+        forged.extend(forged_mark(step, &seen, &faults));
+        match seen {
+            // The runtime's standard markers: "crash"/"restart" from the
+            // harness, "served" from the service drivers.
+            Seen::Marker(q, label) => {
+                let Some(st) = procs.get_mut(q.index()) else {
+                    continue;
+                };
+                let open = st.crashes.last_mut().filter(|w| w.1 == u64::MAX);
+                match label {
+                    "crash" if open.is_none() => st.crashes.push((step, u64::MAX)),
+                    "restart" => {
+                        if let Some(w) = open {
+                            w.1 = step;
                         }
                     }
-                    report.cuts.push(SnapshotCut {
-                        initiator: p,
-                        cut: *cut,
-                        started,
-                        decided: step,
-                        values: values.clone(),
-                        interrupted,
-                    });
+                    "served" => st.serves.push(step),
+                    _ => {}
+                }
+            }
+            Seen::Event(p, e) => {
+                let Some(st) = procs.get_mut(p.index()) else {
+                    continue;
+                };
+                let Some(me) = e.as_monitor() else { continue };
+                match me {
+                    MonitorEvent::CutStarted { cut } => {
+                        st.open_waves.insert(*cut, step);
+                    }
+                    MonitorEvent::CutRefused { cut } => {
+                        st.open_waves.remove(cut);
+                        report.refused.push((p, *cut));
+                    }
+                    MonitorEvent::CutDecided { cut, values } => {
+                        let Some(started) = st.open_waves.remove(cut) else {
+                            report.fabricated.push((p, *cut));
+                            continue;
+                        };
+                        let interrupted = faults.iter().any(|f| (started..=step).contains(f));
+                        let well_formed = values.len() == n
+                            && values.iter().enumerate().all(|(j, v)| v.proc as usize == j);
+                        if !well_formed {
+                            report.torn.push((p, *cut));
+                        }
+                        if well_formed && !interrupted {
+                            for (j, (v, q)) in values.iter().zip(&procs).enumerate() {
+                                if q.crashes.iter().any(|&(c, r)| c <= started && step <= r) {
+                                    report.crashed_values.push((p, *cut, ProcessId::new(j)));
+                                    continue;
+                                }
+                                let lo = q.serves.partition_point(|&s| s < started) as u64;
+                                let hi = q.serves.partition_point(|&s| s <= step) as u64;
+                                if v.served < lo || v.served > hi {
+                                    report.causal_violations.push((p, *cut, ProcessId::new(j)));
+                                }
+                            }
+                        }
+                        report.cuts.push(SnapshotCut {
+                            initiator: p,
+                            cut: *cut,
+                            started,
+                            decided: step,
+                            values: values.clone(),
+                            interrupted,
+                        });
+                    }
                 }
             }
         }
-        let mut left: Vec<u64> = open.into_keys().collect();
-        left.sort_unstable();
-        report.pending.extend(left.into_iter().map(|c| (p, c)));
+    }
+    // The walk interleaves initiators; the report lists them by id.
+    report.refused.sort_by_key(|(p, _)| p.index());
+    report.fabricated.sort_by_key(|(p, _)| p.index());
+    report.torn.sort_by_key(|(p, _)| p.index());
+    report.crashed_values.sort_by_key(|(p, ..)| p.index());
+    report.causal_violations.sort_by_key(|(p, ..)| p.index());
+    for (i, st) in procs.into_iter().enumerate() {
+        let p = ProcessId::new(i);
+        report
+            .pending
+            .extend(st.open_waves.into_keys().map(|c| (p, c)));
     }
     report
         .cuts
         .sort_by_key(|c| (c.decided, c.initiator.index(), c.cut));
+    forged.sort_by_key(|(q, step, _)| (*step, q.index()));
+    report.forged_marks = forged;
     report
 }
 
@@ -1481,6 +1533,65 @@ mod tests {
         assert!(!r.intervals[0].genuine);
     }
 
+    /// Markers go first within a step: a `request` marker pushed after
+    /// a `Started` of the same step — the order the simulator's
+    /// `Runner::mark` leaves, since a marker takes the step of the move
+    /// before it — is still judged before it, so the CS is genuine.
+    #[test]
+    fn me_request_marker_is_judged_before_events_of_its_step() {
+        let mut t = MTrace::new();
+        t.push(
+            5,
+            TraceEvent::Protocol {
+                p: p(0),
+                event: MeEvent::Started,
+            },
+        );
+        t.push_marker(5, p(0), "request");
+        for event in [MeEvent::CsEnter, MeEvent::CsExit, MeEvent::Served] {
+            t.push(6, TraceEvent::Protocol { p: p(0), event });
+        }
+        let r = analyze_me_trace(&t, 1);
+        assert_eq!(r.intervals.len(), 1);
+        assert!(r.intervals[0].genuine, "{r:?}");
+        assert_eq!(r.served, vec![(p(0), 5, 6)]);
+    }
+
+    /// Intervals entering at the same step are listed by process id,
+    /// whatever order the trace closes them in, and their overlap pairs
+    /// follow that order.
+    #[test]
+    fn me_intervals_entering_at_one_step_are_listed_by_process() {
+        let mut t = MTrace::new();
+        for i in [2usize, 1, 0] {
+            t.push(
+                10,
+                TraceEvent::Protocol {
+                    p: p(i),
+                    event: MeEvent::CsEnter,
+                },
+            );
+        }
+        for (i, exit) in [(2usize, 11u64), (1, 12), (0, 13)] {
+            t.push(
+                exit,
+                TraceEvent::Protocol {
+                    p: p(i),
+                    event: MeEvent::CsExit,
+                },
+            );
+        }
+        let r = analyze_me_trace(&t, 3);
+        let order: Vec<usize> = r.intervals.iter().map(|iv| iv.p.index()).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+        let pairs: Vec<(usize, usize)> = r
+            .spurious_overlaps
+            .iter()
+            .map(|(a, b)| (a.p.index(), b.p.index()))
+            .collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
     type FTrace = Trace<ForwardMsg, ForwardEvent>;
 
     fn fwd_payload(src: usize, dst: usize, id: u64) -> Payload {
@@ -1653,20 +1764,34 @@ mod tests {
         }
     }
 
+    /// An entry stamped exactly at a fault step is judged in the epoch
+    /// that fault opens, by both epoch analyzers; with no faults the
+    /// whole trace is one epoch.
     #[test]
-    fn split_at_faults_opens_epoch_at_fault_step() {
+    fn epochs_open_at_fault_step() {
         let mut t = MTrace::new();
         t.push_marker(3, p(0), "request");
         t.push_marker(5, p(1), "chaos:corrupt");
+        t.push_marker(5, p(1), "request");
         t.push_marker(7, p(0), "request");
-        let parts = split_at_faults(&t, &[5]);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].len(), 1, "pre-fault entries only");
-        // The fault mark itself opens the new epoch.
-        let steps: Vec<u64> = parts[1].iter().map(|te| te.step).collect();
-        assert_eq!(steps, vec![5, 7]);
-        // No faults: one epoch, the whole trace.
-        assert_eq!(split_at_faults(&t, &[]).len(), 1);
+        let r = analyze_me_epochs(&t, 2, &[5]);
+        assert_eq!(r.epochs_checked(), 2);
+        assert_eq!(r.epochs[0].interrupted, vec![(p(0), 3)], "pre-fault only");
+        assert_eq!(r.epochs[1].start, 5);
+        assert_eq!(r.epochs[1].report.unserved, vec![(p(0), 7), (p(1), 5)]);
+        assert_eq!(analyze_me_epochs(&t, 2, &[]).epochs_checked(), 1);
+
+        let mut t = FTrace::new();
+        let (a, b) = (fwd_payload(0, 2, 1), fwd_payload(1, 2, 2));
+        push_injected(&mut t, 3, a);
+        t.push_marker(5, p(1), "chaos:corrupt");
+        push_injected(&mut t, 5, b);
+        let r = analyze_forwarding_epochs(&t, 3, &[5]);
+        assert_eq!(r.epochs_checked(), 2);
+        assert_eq!(r.epochs[0].interrupted, vec![a], "pre-fault only");
+        assert_eq!(r.epochs[1].start, 5);
+        assert_eq!(r.epochs[1].report.injected, vec![(5, b)]);
+        assert_eq!(analyze_forwarding_epochs(&t, 3, &[]).epochs_checked(), 1);
     }
 
     /// Fault mid-wave: the pre-fault request is classified `interrupted`
@@ -2148,5 +2273,233 @@ mod tests {
         assert_eq!(r.max_refusal_streak_of(p(0)), 2);
         assert_eq!(r.max_refusal_streak_of(p(1)), 3);
         assert_eq!(r.max_refusal_streak_of(ProcessId::new(5)), 0);
+    }
+
+    // ---- Hostile traces: processes outside 0..n, steps out of order ----
+
+    /// Spec 1 ignores events at processes outside `0..n` — except a
+    /// `receive-fck` the initiator logs, which still counts against an
+    /// exact decision — and reads an out-of-order trace by step.
+    #[test]
+    fn hostile_pif_trace_neither_panics_nor_changes_the_verdict() {
+        let mut t = PTrace::new();
+        let at = |t: &mut PTrace, step: u64, q: usize, event: PifEvent<u32, u32>| {
+            t.push(step, TraceEvent::Protocol { p: p(q), event });
+        };
+        at(&mut t, 9, 0, PifEvent::Decided);
+        at(
+            &mut t,
+            4,
+            1,
+            PifEvent::ReceiveBrd {
+                from: p(0),
+                data: 7,
+            },
+        );
+        at(&mut t, 3, 7, PifEvent::Started);
+        at(
+            &mut t,
+            4,
+            7,
+            PifEvent::ReceiveBrd {
+                from: p(0),
+                data: 7,
+            },
+        );
+        t.push_marker(1, p(9), "request");
+        at(&mut t, 2, 0, PifEvent::Started);
+        at(
+            &mut t,
+            6,
+            0,
+            PifEvent::ReceiveFck {
+                from: p(1),
+                data: 101,
+            },
+        );
+        at(&mut t, 5, 7, PifEvent::Decided);
+        let v = check_bare_pif_wave(&t, p(0), 2, 0, &7, |_| 101);
+        let clean = PifVerdict {
+            started: true,
+            decided: true,
+            broadcasts_received: true,
+            feedbacks_received: true,
+            decision_exact: true,
+            start_step: Some(2),
+            decision_step: Some(9),
+        };
+        assert_eq!(v, clean);
+        at(
+            &mut t,
+            7,
+            0,
+            PifEvent::ReceiveFck {
+                from: p(7),
+                data: 101,
+            },
+        );
+        let v = check_bare_pif_wave(&t, p(0), 2, 0, &7, |_| 101);
+        let inexact = PifVerdict {
+            decision_exact: false,
+            ..clean
+        };
+        assert_eq!(v, inexact);
+    }
+
+    /// Two served requests pushed out of step order, plus a request and
+    /// a CS at process 4 of a 2-process system, and fault marks at
+    /// processes 7 and 8: the out-of-range entries are ignored by the
+    /// per-process state, but an unvouched fault mark is forged wherever
+    /// it points.
+    fn hostile_me_trace() -> MTrace {
+        let mut t = MTrace::new();
+        push_served_request(&mut t, 1, 6, 12);
+        t.push_marker(1, p(4), "request");
+        push_served_request(&mut t, 0, 2, 8);
+        t.push(
+            9,
+            TraceEvent::Protocol {
+                p: p(4),
+                event: MeEvent::CsEnter,
+            },
+        );
+        t.push_marker(4, p(8), "chaos:forged");
+        t.push_marker(3, p(7), "chaos:corrupt");
+        t
+    }
+
+    #[test]
+    fn hostile_me_trace_neither_panics_nor_changes_the_verdict() {
+        let iv = |i: usize, step: u64, genuine: bool| CsInterval {
+            p: p(i),
+            enter: step,
+            exit: step,
+            genuine,
+        };
+        let r = analyze_me_trace(&hostile_me_trace(), 2);
+        let want = MeReport {
+            intervals: vec![iv(0, 8, true), iv(1, 12, true)],
+            served: vec![(p(0), 2, 8), (p(1), 6, 12)],
+            ..MeReport::default()
+        };
+        assert_eq!(r, want);
+
+        let r = analyze_me_epochs(&hostile_me_trace(), 2, &[10, 3, 10]);
+        let epoch =
+            |start: u64, report: MeReport, interrupted: Vec<(ProcessId, u64)>| MeEpochVerdict {
+                start,
+                report,
+                interrupted,
+            };
+        let want = MeEpochReport {
+            epochs: vec![
+                epoch(0, MeReport::default(), vec![(p(0), 2)]),
+                epoch(
+                    3,
+                    MeReport {
+                        intervals: vec![iv(0, 8, false)],
+                        ..MeReport::default()
+                    },
+                    vec![(p(1), 6)],
+                ),
+                epoch(
+                    10,
+                    MeReport {
+                        intervals: vec![iv(1, 12, false)],
+                        ..MeReport::default()
+                    },
+                    vec![],
+                ),
+            ],
+            forged_marks: vec![(p(8), 4, "chaos:forged".to_string())],
+        };
+        assert_eq!(r, want);
+    }
+
+    /// Deliveries pushed before the injections they answer, one of them
+    /// at process 5 of a 3-process system, an injection from process 6,
+    /// and a fault mark at process 9.
+    fn hostile_forwarding_trace() -> (FTrace, Payload, Payload) {
+        let mut t = FTrace::new();
+        let a = fwd_payload(0, 2, 1);
+        let b = fwd_payload(6, 1, 2);
+        push_delivered(&mut t, 9, 2, a);
+        push_delivered(&mut t, 7, 5, a);
+        t.push_marker(6, p(9), "chaos:forged");
+        push_injected(&mut t, 2, a);
+        push_injected(&mut t, 4, b);
+        (t, a, b)
+    }
+
+    #[test]
+    fn hostile_forwarding_trace_neither_panics_nor_changes_the_verdict() {
+        let (t, a, b) = hostile_forwarding_trace();
+        let r = analyze_forwarding_trace(&t, 3);
+        let want = ForwardingReport {
+            injected: vec![(2, a), (4, b)],
+            delivered: vec![(a, 2, 9)],
+            lost: vec![b],
+            duplicate_ids: vec![1],
+            corrupt_deliveries: vec![a, b],
+            ..ForwardingReport::default()
+        };
+        assert_eq!(r, want);
+
+        let r = analyze_forwarding_epochs(&t, 3, &[5]);
+        let want = ForwardingEpochReport {
+            epochs: vec![
+                ForwardingEpochVerdict {
+                    start: 0,
+                    report: ForwardingReport {
+                        injected: vec![(2, a), (4, b)],
+                        corrupt_deliveries: vec![b],
+                        ..ForwardingReport::default()
+                    },
+                    interrupted: vec![a, b],
+                },
+                ForwardingEpochVerdict {
+                    start: 5,
+                    report: ForwardingReport {
+                        stale_duplicates: vec![1],
+                        spurious: 2,
+                        ..ForwardingReport::default()
+                    },
+                    interrupted: vec![],
+                },
+            ],
+            forged_marks: vec![(p(9), 6, "chaos:forged".to_string())],
+            crossing: vec![1],
+        };
+        assert_eq!(r, want);
+    }
+
+    /// A wave, a crash and a serve at processes 3 and 4 of a 2-process
+    /// system, a fault mark at process 5, and markers pushed after the
+    /// events they precede.
+    #[test]
+    fn hostile_snapshot_trace_neither_panics_nor_changes_the_verdict() {
+        let mut t = STrace::new();
+        push_cut_started(&mut t, 2, 0, 0);
+        push_cut_decided(&mut t, 6, 0, 0, vec![digest(0, 0), digest(1, 1)]);
+        push_cut_started(&mut t, 1, 3, 0);
+        t.push_marker(0, p(4), "crash");
+        t.push_marker(2, p(4), "served");
+        push_cut_decided(&mut t, 4, 3, 0, vec![digest(3, 9)]);
+        t.push_marker(1, p(1), "served");
+        t.push_marker(3, p(5), "chaos:forged");
+        let r = analyze_snapshot_trace(&t, 2, &[]);
+        let want = SnapshotReport {
+            cuts: vec![SnapshotCut {
+                initiator: p(0),
+                cut: 0,
+                started: 2,
+                decided: 6,
+                values: vec![digest(0, 0), digest(1, 1)],
+                interrupted: false,
+            }],
+            forged_marks: vec![(p(5), 3, "chaos:forged".to_string())],
+            ..SnapshotReport::default()
+        };
+        assert_eq!(r, want);
     }
 }

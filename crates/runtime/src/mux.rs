@@ -301,7 +301,7 @@ where
         for event in core.event_buf.drain(..) {
             core.stats.protocol_events += 1;
             if self.record
-                && (self.detail != TraceDetail::Spec || P::event_is_spec_relevant(&event))
+                && (self.detail == TraceDetail::Full || P::event_is_spec_relevant(&event))
             {
                 core.log.push(step, TraceEvent::Protocol { p: me, event });
             }
@@ -387,7 +387,7 @@ where
                 core.stats.effective_activations += 1;
                 active += 1;
             }
-            if self.record {
+            if self.record && self.detail == TraceDetail::Full {
                 core.log.push(step, TraceEvent::Activated { p: me, acted });
             }
             self.commit(i, core, step);
@@ -824,9 +824,15 @@ mod tests {
         assert!(report.stats.deliveries > 0);
     }
 
+    /// Forensic detail is opt-in: the merged trace reads `Sent` and
+    /// `Delivered`, which only [`TraceDetail::Full`] records.
     #[test]
     fn mux_merged_trace_is_step_ordered_and_causal() {
-        let mut r = MuxRunner::spawn(idl_fleet(5), LiveConfig::default(), 2);
+        let cfg = LiveConfig {
+            detail: TraceDetail::Full,
+            ..LiveConfig::default()
+        };
+        let mut r = MuxRunner::spawn(idl_fleet(5), cfg, 2);
         r.mark(p(0), "request");
         r.with_process(p(0), |m: &mut IdlProcess| m.request_learning());
         assert!(r.wait_until(
@@ -854,6 +860,37 @@ mod tests {
             delivered <= sends,
             "{delivered} deliveries from {sends} sends"
         );
+    }
+
+    /// The default recording level keeps markers and protocol events
+    /// only: no activation, send or delivery of the run reaches the
+    /// trace, although every one of them still counts in the stats.
+    #[test]
+    fn mux_spec_trace_holds_no_activation_send_or_delivery() {
+        assert_eq!(LiveConfig::default().detail, TraceDetail::Spec);
+        let mut r = MuxRunner::spawn(idl_fleet(4), LiveConfig::default(), 2);
+        r.mark(p(0), "request");
+        r.with_process(p(0), |m: &mut IdlProcess| m.request_learning());
+        assert!(r.wait_until(
+            p(0),
+            |m: &IdlProcess| m.request() == RequestState::Done,
+            Duration::from_secs(20),
+        ));
+        let report = r.stop();
+        assert!(report.stats.activations > 0 && report.stats.deliveries > 0);
+        let wire = report.trace.count(|e| {
+            matches!(
+                e,
+                TraceEvent::Activated { .. }
+                    | TraceEvent::Sent { .. }
+                    | TraceEvent::Delivered { .. }
+            )
+        });
+        assert_eq!(wire, 0, "{} entries", report.trace.len());
+        let kept = report
+            .trace
+            .count(|e| matches!(e, TraceEvent::Protocol { .. }));
+        assert!(kept > 0, "protocol events are kept");
     }
 
     #[test]

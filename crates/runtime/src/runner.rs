@@ -37,10 +37,11 @@ pub struct LiveConfig {
     /// this off to measure raw throughput).
     pub record_trace: bool,
     /// How much detail to record while `record_trace` is on — see
-    /// [`TraceDetail`]. Scale runs, where a snap-stabilizing fleet
-    /// retransmits millions of messages per second, drop to
-    /// [`TraceDetail::Spec`] to keep the merged trace proportional to
-    /// specification activity instead of wire traffic.
+    /// [`TraceDetail`]. The default, [`TraceDetail::Spec`], keeps what
+    /// the executable specifications read, so the merged trace grows
+    /// with specification activity instead of wire traffic;
+    /// [`TraceDetail::Full`] adds every activation, send and delivery
+    /// for forensics.
     pub detail: TraceDetail,
     /// The sweep period, which is the fairness timer: the longest the
     /// pool may withhold an activation from an instance that no traffic
@@ -53,20 +54,21 @@ pub struct LiveConfig {
 
 /// How much detail a recording run keeps in its per-instance logs — the
 /// trade-off between forensic completeness and trace volume. Every
-/// executable specification checker judges protocol events and markers
-/// alone, so every level below [`TraceDetail::Full`] still feeds the
-/// unchanged Spec 1/3/4/5 checkers.
+/// executable specification checker judges markers and spec-relevant
+/// protocol events alone, so both levels feed the same Spec 1/3/4/5
+/// checkers with the same verdicts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceDetail {
-    /// Wire (`Sent`/`Delivered`) and protocol events: the full forensic
-    /// trace (default).
+    /// Markers and the protocol events the protocol flags as
+    /// spec-relevant ([`Protocol::event_is_spec_relevant`]): exactly
+    /// what the checkers read, proportional to protocol decisions
+    /// instead of wave traffic (default).
     #[default]
-    Full,
-    /// Keep only markers and the protocol events the protocol flags as
-    /// spec-relevant ([`Protocol::event_is_spec_relevant`]) — the
-    /// minimal trace the checkers accept, proportional to protocol
-    /// decisions instead of wave traffic.
     Spec,
+    /// [`TraceDetail::Spec`] plus every other protocol event and the
+    /// `Activated`, `Sent` and `Delivered` entries of each atomic step:
+    /// the opt-in forensic trace.
+    Full,
 }
 
 impl Default for LiveConfig {
@@ -77,7 +79,7 @@ impl Default for LiveConfig {
             jitter: None,
             seed: 0,
             record_trace: true,
-            detail: TraceDetail::Full,
+            detail: TraceDetail::Spec,
             max_backoff: Duration::from_millis(2),
         }
     }

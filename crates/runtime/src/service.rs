@@ -1360,6 +1360,94 @@ mod tests {
         assert_eq!(epochs.epochs_checked(), chaos.fault_steps.len() + 1);
     }
 
+    /// At the default [`crate::TraceDetail::Spec`] each app records
+    /// exactly what its specification reads — no activation, send or
+    /// delivery, no PIF wave event of any shard, no forwarding relay
+    /// hop — and the verdicts still hold on that trace.
+    #[test]
+    fn spec_detail_traces_hold_only_what_the_specs_read() {
+        use snapstab_sim::TraceEvent;
+        fn wire<M, E>(trace: &Trace<M, E>) -> usize {
+            trace.count(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Activated { .. }
+                        | TraceEvent::Sent { .. }
+                        | TraceEvent::Delivered { .. }
+                )
+            })
+        }
+        let mutex = MutexServiceConfig {
+            n: 3,
+            requests_per_process: 2,
+            time_budget: Duration::from_secs(45),
+            ..MutexServiceConfig::default()
+        };
+        let trace = in_memory(&mutex).trace.expect("recording on");
+        assert_eq!(wire(&trace), 0);
+        let me = analyze_me_trace(&trace, mutex.n);
+        assert!(me.exclusivity_holds() && me.all_served(), "{me:?}");
+        assert_eq!(me.served.len(), 6);
+
+        let sharded = ShardedServiceConfig {
+            n: 3,
+            shards: 2,
+            batch: 2,
+            requests_per_process: 4,
+            time_budget: Duration::from_secs(45),
+            ..ShardedServiceConfig::default()
+        };
+        let report = in_memory(&sharded);
+        assert!(report.audit().holds(), "{:?}", report.audit());
+        let trace = report.trace.expect("recording on");
+        assert_eq!(wire(&trace), 0);
+        let waves = trace.count(|e| {
+            matches!(
+                e,
+                TraceEvent::Protocol {
+                    event: ShardedMeEvent {
+                        event: MeEvent::Pif(_),
+                        ..
+                    },
+                    ..
+                }
+            )
+        });
+        assert_eq!(waves, 0, "no shard's PIF wave events are kept");
+        for s in 0..sharded.shards {
+            let shard_trace = snapstab_core::shard::project_shard_trace(&trace, s);
+            let me = analyze_me_trace(&shard_trace, sharded.n);
+            assert!(
+                me.exclusivity_holds() && me.all_served(),
+                "shard {s}: {me:?}"
+            );
+        }
+
+        let forward = ForwardingServiceConfig {
+            n: 4,
+            payloads_per_process: 3,
+            time_budget: Duration::from_secs(45),
+            ..ForwardingServiceConfig::default()
+        };
+        let trace = in_memory(&forward).trace.expect("recording on");
+        assert_eq!(wire(&trace), 0);
+        let hops = trace.count(|e| {
+            matches!(
+                e,
+                TraceEvent::Protocol {
+                    event: ForwardEvent::Accepted { .. }
+                        | ForwardEvent::Forwarded { .. }
+                        | ForwardEvent::DroppedInvalid { .. },
+                    ..
+                }
+            )
+        });
+        assert_eq!(hops, 0, "relay hops are not kept");
+        let spec = snapstab_core::spec::analyze_forwarding_trace(&trace, forward.n);
+        assert!(spec.holds(), "{spec:?}");
+        assert_eq!(spec.delivered.len(), 12);
+    }
+
     #[test]
     fn lossy_service_still_serves() {
         let cfg = MutexServiceConfig {

@@ -79,12 +79,12 @@ pub trait Protocol {
     fn restore(&mut self, state: Self::State);
 
     /// True if `event` is consumed by an executable specification
-    /// checker. Everything is relevant by default; wrapper protocols
-    /// whose inner layers emit high-volume sub-events the checkers
-    /// skip (e.g. the mutex layer's per-wave PIF events) override this
-    /// so scale runs can record a trace proportional to specification
+    /// checker. Everything is relevant by default; protocols that emit
+    /// high-volume events the checkers skip (e.g. the mutex layer's
+    /// per-wave PIF events, or forwarding's per-hop relays) override
+    /// this so live runs record a trace proportional to specification
     /// activity instead of wave traffic — see the live runtime's
-    /// `TraceDetail::Spec`.
+    /// default `TraceDetail::Spec`.
     fn event_is_spec_relevant(_event: &Self::Event) -> bool {
         true
     }
