@@ -4,6 +4,8 @@
 //! Usage: `exp_stepbench [--fast] [--json PATH]` (default PATH:
 //! `BENCH_STEPLOOP.json` in the current directory).
 
+use snapstab_bench::experiments::stepbench;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fast = snapstab_bench::is_fast(&args);
@@ -14,13 +16,9 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_STEPLOOP.json".to_string());
 
-    let results = snapstab_bench::experiments::stepbench::sweep(fast);
-
-    print!(
-        "{}",
-        snapstab_bench::experiments::stepbench::render(&results)
-    );
-    let json = snapstab_bench::experiments::stepbench::to_json(&results);
+    let results = stepbench::sweep(fast);
+    print!("{}", stepbench::render(&results));
+    let json = stepbench::to_json(&results);
     match std::fs::write(&json_path, &json) {
         Ok(()) => println!("\nwrote {json_path}"),
         Err(e) => eprintln!("\ncould not write {json_path}: {e}"),

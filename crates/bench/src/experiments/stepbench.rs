@@ -12,37 +12,28 @@ use std::time::Instant;
 use snapstab_core::idl::IdlProcess;
 use snapstab_sim::{Capacity, NetworkBuilder, ProcessId, RoundRobin, Runner};
 
-use crate::table::Table;
+use crate::row::{self, Field, Kind, Row, Schema, Section};
 
-/// Wall-clock cost of the step loop at one system size.
-#[derive(Clone, Copy, Debug)]
-pub struct StepCost {
-    /// System size.
-    pub n: usize,
-    /// Atomic steps executed.
-    pub steps: u64,
-    /// Total wall time in nanoseconds.
-    pub wall_ns: u128,
-}
-
-impl StepCost {
-    /// Nanoseconds per atomic step.
-    pub fn ns_per_step(&self) -> f64 {
-        if self.steps == 0 {
-            return f64::NAN;
-        }
-        self.wall_ns as f64 / self.steps as f64
-    }
-
-    /// Steps per second.
-    pub fn steps_per_sec(&self) -> f64 {
-        1e9 / self.ns_per_step()
-    }
-}
+/// The schema of `BENCH_STEPLOOP.json`: one row per system size.
+pub const SCHEMA: Schema = Schema {
+    experiment: "step_loop_throughput",
+    unit: "ns_per_step",
+    sections: &[Section {
+        key: "results",
+        title: "step-loop throughput (trace recording off)",
+        fields: &[
+            Field::col("n", Kind::Int, "n"),
+            Field::col("steps", Kind::Int, "steps"),
+            Field::col("wall_ns", Kind::Nanos, "wall ms"),
+            Field::col("ns_per_step", Kind::Real(Some(2)), "ns/step"),
+        ],
+    }],
+    total_served: false,
+};
 
 /// Runs `target_steps` atomic steps of a sustained IDL workload at size
-/// `n` (trace recording off) and measures the wall time.
-pub fn measure(n: usize, target_steps: u64, seed: u64) -> StepCost {
+/// `n` (trace recording off) and measures the wall time per step.
+pub fn measure(n: usize, target_steps: u64, seed: u64) -> Row {
     let processes: Vec<IdlProcess> = (0..n)
         .map(|i| IdlProcess::new(ProcessId::new(i), n, 10 + i as u64))
         .collect();
@@ -71,62 +62,39 @@ pub fn measure(n: usize, target_steps: u64, seed: u64) -> StepCost {
             }
         }
     }
-    StepCost {
-        n,
-        steps: executed,
-        wall_ns: start.elapsed().as_nanos(),
-    }
+    let wall = start.elapsed();
+    Row::default()
+        .with("n", n)
+        .with("steps", executed)
+        .with("wall_ns", wall)
+        .with(
+            "ns_per_step",
+            wall.as_nanos() as f64 / executed.max(1) as f64,
+        )
 }
 
 /// Runs the sweep at the standard sizes. The `n = 512` point exists to
 /// watch the delta-based link resync: before it, every step that moved
 /// the live-link version paid an O(live links) copy, which dominates at
 /// this size.
-pub fn sweep(fast: bool) -> Vec<StepCost> {
+pub fn sweep(fast: bool) -> Vec<Row> {
     let sizes: &[usize] = if fast { &[8, 32] } else { &[8, 32, 128, 512] };
     let steps = if fast { 50_000 } else { 400_000 };
     sizes.iter().map(|&n| measure(n, steps, 0xBEE5)).collect()
 }
 
 /// Renders already-measured results as the repo's standard ASCII table.
-pub fn render(results: &[StepCost]) -> String {
-    let mut out = String::new();
-    out.push_str("=== Q5: step-loop throughput (trace recording off) ===\n\n");
-    let mut table = Table::new(&["n", "steps", "wall ms", "ns/step", "steps/s"]);
-    for r in results {
-        table.row(&[
-            r.n.to_string(),
-            r.steps.to_string(),
-            format!("{:.1}", r.wall_ns as f64 / 1e6),
-            format!("{:.1}", r.ns_per_step()),
-            format!("{:.0}", r.steps_per_sec()),
-        ]);
-    }
-    out.push_str(&table.render());
-    out
+pub fn render(results: &[Row]) -> String {
+    format!(
+        "=== Q5: step-loop throughput ===\n{}",
+        row::render(&SCHEMA, &[results.to_vec()])
+    )
 }
 
-/// Measures the sweep and renders it.
-pub fn run(fast: bool) -> String {
-    render(&sweep(fast))
-}
-
-/// The sweep as a JSON document (hand-rolled: the workspace is offline and
-/// carries no serde), shaped for trajectory comparison across PRs.
-pub fn to_json(results: &[StepCost]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"step_loop_throughput\",\n  \"unit\": \"ns_per_step\",\n  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"steps\": {}, \"wall_ns\": {}, \"ns_per_step\": {:.2}}}{}\n",
-            r.n,
-            r.steps,
-            r.wall_ns,
-            r.ns_per_step(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The sweep as a JSON document, shaped for trajectory comparison
+/// across PRs.
+pub fn to_json(results: &[Row]) -> String {
+    row::to_json(&SCHEMA, &[results.to_vec()])
 }
 
 #[cfg(test)]
@@ -136,25 +104,28 @@ mod tests {
     #[test]
     fn measure_executes_requested_steps() {
         let c = measure(4, 2_000, 1);
-        assert_eq!(c.n, 4);
+        assert_eq!(c.int("n"), 4);
         assert!(
-            c.steps >= 2_000,
+            c.int("steps") >= 2_000,
             "sustained workload should fill the budget, got {}",
-            c.steps
+            c.int("steps")
         );
-        assert!(c.wall_ns > 0);
-        assert!(c.ns_per_step() > 0.0);
+        assert!(c.int("wall_ns") > 0);
+        assert!(c.real("ns_per_step") > 0.0);
     }
 
     #[test]
     fn json_shape() {
-        let j = to_json(&[StepCost {
-            n: 8,
-            steps: 100,
-            wall_ns: 1000,
-        }]);
-        assert!(j.contains("\"n\": 8"));
+        let row = Row::default()
+            .with("n", 8usize)
+            .with("steps", 100u64)
+            .with("wall_ns", 1000u64)
+            .with("ns_per_step", 10.0);
+        let j = to_json(&[row]);
+        assert!(j.contains(
+            "    {\"n\": 8, \"steps\": 100, \"wall_ns\": 1000, \"ns_per_step\": 10.00}\n  ]\n}\n"
+        ));
         assert!(j.contains("step_loop_throughput"));
-        assert!(j.trim_end().ends_with('}'));
+        row::validate_roundtrip(&SCHEMA, &j).expect("round-trips");
     }
 }

@@ -5,8 +5,8 @@
 //! and future PRs consume — so field drift in the hand-rolled emitters
 //! must be caught *before* it lands in a committed artifact. This module
 //! is the read side: enough JSON to parse the bench's own output back and
-//! let each experiment validate its schema round-trips (see
-//! `experiments::rtbench::from_json`).
+//! let each document validate that it round-trips through its schema
+//! (see [`crate::row::from_json`]).
 //!
 //! Supported: objects, arrays, strings (with `\"`/`\\`/`\n`/`\t`/`\r`
 //! escapes), numbers (as `f64` — every integer the benches emit is below

@@ -19,12 +19,17 @@
 //!
 //! Every experiment is deterministic given its seeds and prints an ASCII
 //! table; `--bin all_experiments` runs the full suite.
+//!
+//! Q5 and Q6 commit JSON trajectories (`BENCH_STEPLOOP.json`,
+//! `BENCH_RUNTIME.json`); both are rows of one [`row::Row`] type under a
+//! `const` [`row::Schema`], written, parsed and rendered by [`row`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod jsonv;
+pub mod row;
 pub mod stats;
 pub mod table;
 

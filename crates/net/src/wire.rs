@@ -416,6 +416,9 @@ impl Wire for ShardedMeMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use snapstab_core::idl::Id;
+    use snapstab_core::me::MeMsg;
 
     fn roundtrip<M: Wire + PartialEq + std::fmt::Debug>(msg: M) {
         let mut buf = Vec::new();
@@ -609,5 +612,43 @@ mod tests {
         // Trailing bytes are malformed.
         buf.push(0);
         assert_eq!(decode_exact::<MonMsg>(&buf), None);
+    }
+
+    /// Decodes `bytes` and every prefix of it as an `M`: a value that
+    /// decodes must re-encode to exactly the bytes it came from.
+    fn decodes_canonically<M: Wire + std::fmt::Debug>(bytes: &[u8]) -> Result<(), TestCaseError> {
+        for len in 0..=bytes.len() {
+            if let Some(m) = decode_exact::<M>(&bytes[..len]) {
+                let mut again = Vec::new();
+                m.encode(&mut again);
+                prop_assert_eq!(&again[..], &bytes[..len], "{:?}", m);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every message type a live service puts on a socket.
+    fn every_message_type(bytes: &[u8]) -> Result<(), TestCaseError> {
+        decodes_canonically::<MeMsg>(bytes)?;
+        decodes_canonically::<PifMsg<IdlQuery, Id>>(bytes)?;
+        decodes_canonically::<ForwardMsg>(bytes)?;
+        decodes_canonically::<ShardedMeMsg>(bytes)?;
+        decodes_canonically::<MonitoredMsg<MeMsg>>(bytes)?;
+        decodes_canonically::<MonitoredMsg<ForwardMsg>>(bytes)
+    }
+
+    proptest! {
+        /// Hostile payloads: arbitrary bytes never panic the decoder, and
+        /// the encoding is positional with canonical tags, so whatever
+        /// decodes re-encodes byte for byte. Bytes drawn below 5 make
+        /// every enum tag valid often enough to reach the re-encode.
+        #[test]
+        fn arbitrary_bytes_decode_canonically_or_not_at_all(
+            raw in proptest::collection::vec(any::<u8>(), 0..96),
+            small in proptest::collection::vec(0u8..5, 0..96),
+        ) {
+            every_message_type(&raw)?;
+            every_message_type(&small)?;
+        }
     }
 }

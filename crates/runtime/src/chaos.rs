@@ -408,7 +408,7 @@ pub struct Intervention {
     /// What the watchdog saw.
     pub kind: InterventionKind,
     /// The global step of the adversarial corruption applied before the
-    /// restart (or the current step count, when corruption is off).
+    /// restart.
     pub step: u64,
 }
 
@@ -418,29 +418,21 @@ pub struct SupervisorConfig {
     /// A live instance with no effective activations for this long is
     /// declared wedged and recycled.
     pub wedge_deadline: Duration,
-    /// Initial restart backoff (bounds how fast a crash-looping instance
-    /// is restarted).
-    pub min_backoff: Duration,
-    /// Restart backoff ceiling. Reused from [`LiveConfig::max_backoff`].
+    /// Restart backoff ceiling (the first backoff is
+    /// `MIN_RESTART_BACKOFF`). Reused from [`LiveConfig::max_backoff`].
     pub max_backoff: Duration,
-    /// Restart with adversarially corrupted state (the default): a
-    /// restart is a transient fault, and snap-stabilization must hold
-    /// from whatever configuration it leaves behind.
-    pub corrupt_restarts: bool,
     /// Seed of the adversarial-restart corruption stream.
     pub seed: u64,
 }
 
 impl SupervisorConfig {
     /// Derives the watchdog configuration from a run's [`LiveConfig`]:
-    /// restart backoff from 50 µs up to its sweep period, a 1 s wedge
-    /// deadline, corrupted restarts on.
+    /// restart backoff from 50 µs up to its sweep period and a 1 s wedge
+    /// deadline.
     pub fn from_live(live: &LiveConfig) -> Self {
         SupervisorConfig {
             wedge_deadline: Duration::from_secs(1),
-            min_backoff: MIN_RESTART_BACKOFF,
             max_backoff: live.max_backoff,
-            corrupt_restarts: true,
             seed: live.seed ^ SUPERVISOR_SALT,
         }
     }
@@ -471,14 +463,13 @@ impl Supervisor {
     /// A watchdog for `n` instances.
     pub fn new(n: usize, cfg: SupervisorConfig) -> Self {
         let now = Instant::now();
-        let min = cfg.min_backoff;
         Supervisor {
             rng: SimRng::seed_from(cfg.seed),
             watches: (0..n)
                 .map(|_| WorkerWatch {
                     last_activity: 0,
                     last_progress: now,
-                    backoff: min,
+                    backoff: MIN_RESTART_BACKOFF,
                     next_restart: now,
                 })
                 .collect(),
@@ -522,7 +513,7 @@ impl Supervisor {
                 if activity != watch.last_activity {
                     watch.last_activity = activity;
                     watch.last_progress = now;
-                    watch.backoff = self.cfg.min_backoff;
+                    watch.backoff = MIN_RESTART_BACKOFF;
                 } else if now.duration_since(watch.last_progress) >= self.cfg.wedge_deadline {
                     // Wedged: alive but making no effective progress.
                     runner.crash(p);
@@ -576,21 +567,17 @@ impl Supervisor {
     ) where
         P: Protocol<Msg: Send, Event: Send> + Send + 'static,
     {
-        let step = if self.cfg.corrupt_restarts {
-            // The instance is crashed, so no instance steps it: corrupt it
-            // *before* the restart makes it ready, and vouch for the
-            // fault mark.
-            let mut rng = SimRng::seed_from(self.rng.gen_u64());
-            let step = runner.with_process_ctx(p, move |proc, scribe| {
-                let step = scribe.mark("chaos:restart-corrupt");
-                proc.corrupt(&mut rng);
-                step
-            });
-            self.fault_steps.push(step);
+        // A restart is a transient fault: snap-stabilization must hold
+        // from whatever configuration it leaves behind. The instance is
+        // crashed, so no worker steps it: corrupt it *before* the restart
+        // makes it ready, and vouch for the fault mark.
+        let mut rng = SimRng::seed_from(self.rng.gen_u64());
+        let step = runner.with_process_ctx(p, move |proc, scribe| {
+            let step = scribe.mark("chaos:restart-corrupt");
+            proc.corrupt(&mut rng);
             step
-        } else {
-            runner.step_count()
-        };
+        });
+        self.fault_steps.push(step);
         runner.restart(p);
         self.interventions.push(Intervention { p, kind, step });
         let watch = &mut self.watches[p.index()];
@@ -989,7 +976,7 @@ mod tests {
         let mut sup = Supervisor::new(3, SupervisorConfig::from_live(&cfg));
         runner.crash(p(1));
         assert!(runner.is_crashed(p(1)));
-        // Backoff starts at min_backoff (µs scale); one short sleep is
+        // Backoff starts at MIN_RESTART_BACKOFF (µs scale); one short sleep is
         // plenty.
         std::thread::sleep(Duration::from_millis(5));
         let healed = sup.tick(&mut runner);

@@ -221,9 +221,17 @@ impl<P: Protocol, S: Scheduler> Runner<P, S> {
         self.stats
     }
 
-    /// Records a harness marker in the trace at the current step.
-    pub fn mark(&mut self, p: ProcessId, label: impl Into<String>) {
-        self.trace.push_marker(self.step, p, label);
+    /// Records a harness marker in the trace. A marker pushed between
+    /// moves `s` and `s + 1` is stamped `s + 1` without advancing the
+    /// step counter: markers-first ordering then places it after every
+    /// event of move `s` and before every event of move `s + 1`, so a
+    /// `request` marked right after a `Served` is not served by it.
+    /// Returns the stamped step: the fault step to hand the epoch
+    /// checkers for a `chaos:` mark, as the live `Scribe::mark` returns.
+    pub fn mark(&mut self, p: ProcessId, label: impl Into<String>) -> u64 {
+        let step = self.step + 1;
+        self.trace.push_marker(step, p, label);
+        step
     }
 
     /// Permanently crashes process `p` (the paper's conclusion names crash
@@ -238,7 +246,8 @@ impl<P: Protocol, S: Scheduler> Runner<P, S> {
         self.mark_dirty(p);
         self.links_seen = None;
         if self.record_trace {
-            self.trace.push_marker(self.step, p, "crash");
+            // Stamped like `mark`: the crash precedes the next move.
+            self.trace.push_marker(self.step + 1, p, "crash");
         }
     }
 
@@ -636,8 +645,9 @@ mod tests {
     #[test]
     fn mark_adds_marker() {
         let mut r = ping_system(2, 0, Capacity::Bounded(1));
-        r.mark(p(1), "request");
+        assert_eq!(r.mark(p(1), "request"), 1, "stamped with the next move");
         assert_eq!(r.trace().markers().count(), 1);
+        assert_eq!(r.step_count(), 0, "a marker takes no step");
     }
 
     #[test]

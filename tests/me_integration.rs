@@ -209,3 +209,27 @@ fn paper_literal_value_mode_starves() {
         "the literal mod (n+1) arithmetic starves the requester (D2 erratum)"
     );
 }
+
+/// A `request` marked between two moves belongs to the next move: the
+/// `Served` of an earlier request, pushed by the move just executed,
+/// must not serve it. Markers-first ordering would put a marker stamped
+/// with the executed move's step before that move's `Served`, and the
+/// request would read a latency of 0 steps. A busy workload (requests
+/// re-issued as soon as one is served) marks many requests right after a
+/// `Served`.
+#[test]
+fn request_marked_after_a_served_is_not_served_by_it() {
+    for seed in 0..36 {
+        let mut runner = me_system(3, 2, seed);
+        let mut rng = SimRng::seed_from(seed + 500);
+        CorruptionPlan::full().apply(&mut runner, &mut rng);
+        let report = workload(&mut runner, 60_000, 0.5, &mut rng);
+        assert!(report.served.len() > 20, "seed {seed}: a busy workload");
+        for (q, req, srv) in &report.served {
+            assert!(
+                srv > req,
+                "seed {seed}: {q:?}'s request marked at step {req} served by step {srv}"
+            );
+        }
+    }
+}
